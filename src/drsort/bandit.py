@@ -24,7 +24,7 @@ from .valuenet import (
     MlpParams,
     Optimizer,
     ReplayBuffer,
-    action_value_table,
+    greedy_actions,
     init_mlp,
     mlp_forward,
     mlp_forward_cached,
@@ -158,8 +158,7 @@ def greedy_policy(q_params: MlpParams, env_config: warehouse.EnvConfig):
 
     def policy(state: warehouse.WarehouseState) -> np.ndarray:
         obs = warehouse.observe_all(state, env_config)
-        table = action_value_table(q_params, obs, env_config.action_max)
-        return budget.solve_budget_argmax(table, env_config.n_chutes)
+        return greedy_actions(q_params, obs, env_config.action_max, env_config.n_chutes)
 
     return policy
 

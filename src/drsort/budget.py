@@ -21,80 +21,94 @@ import numpy as np
 BRUTE_FORCE_LIMIT = 10_000_000
 
 
-def _check_table(values: np.ndarray) -> np.ndarray:
+def _check_table(values: np.ndarray, ndims: tuple[int, ...] = (2,)) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("action-value table must be 2-D (agents x actions)")
+    if values.ndim not in ndims:
+        stack = " or a 3-D stack of tables" if 3 in ndims else ""
+        raise ValueError(f"action-value table must be 2-D (agents x actions){stack}")
     if not np.all(np.isfinite(values)):
         raise ValueError("action-value table contains non-finite entries")
     return values
 
 
-def _suffix_table(values: np.ndarray, budget: int) -> np.ndarray:
-    """dp[i][b] = best achievable value for agents i..N-1 with budget b."""
-    n_agents, n_actions = values.shape
-    dp = np.zeros((n_agents + 1, budget + 1))
+def _suffix_table(tables: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+    """(dp, pad): dp[k, i, pad + b] = best value of table k's agents i..N-1 with budget b.
+
+    Each entry is the max over a of the single addition
+    tables[k, i, a] + dp[k, i+1, pad + b - a]; max is exact, so the entries
+    do not depend on the order the candidates are visited in. The first
+    `pad` columns hold -inf, so a level above the budget b is never the max.
+    """
+    n_batch, n_agents, n_actions = tables.shape
+    pad = min(n_actions - 1, budget)
+    rest = pad + np.arange(budget + 1)[:, None] - np.arange(pad + 1)[None, :]
+    dp = np.full((n_batch, n_agents + 1, pad + budget + 1), -np.inf)
+    dp[:, n_agents, pad:] = 0.0
     for i in range(n_agents - 1, -1, -1):
-        row = np.full(budget + 1, -np.inf)
-        for a in range(min(n_actions - 1, budget) + 1):
-            cand = values[i, a] + dp[i + 1, : budget + 1 - a]
-            row[a:] = np.maximum(row[a:], cand)
-        dp[i] = row
-    return dp
+        cand = tables[:, i, None, : pad + 1] + dp[:, i + 1, rest]
+        dp[:, i, pad:] = cand.max(axis=2)
+    return dp, pad
 
 
-def _binary_argmax(values: np.ndarray, budget: int) -> np.ndarray:
-    """Fast path for two-level actions: pick the largest positive gains.
+def _binary_argmax(tables: np.ndarray, budget: int) -> np.ndarray:
+    """Fast path for two-level actions: per table, pick the largest positive gains.
 
     Equivalent to the DP with its tie-break: on equal gains the chute
     goes to the larger agent index (the lexicographically smaller joint
     action), and zero-gain agents stay at action 0.
     """
-    n_agents = values.shape[0]
-    gains = values[:, 1] - values[:, 0]
-    order = np.lexsort((-np.arange(n_agents), -gains))
-    k = min(budget, int(np.count_nonzero(gains > 0.0)))
-    action = np.zeros(n_agents, dtype=int)
-    action[order[:k]] = 1
+    n_batch, n_agents, _ = tables.shape
+    gains = tables[:, :, 1] - tables[:, :, 0]
+    # a stable sort of the agents in reverse order ranks equal gains by descending index
+    order = n_agents - 1 - np.argsort(-gains[:, ::-1], axis=1, kind="stable")
+    k = np.minimum(budget, np.count_nonzero(gains > 0.0, axis=1))
+    action = np.zeros((n_batch, n_agents), dtype=int)
+    action[np.arange(n_batch)[:, None], order] = np.arange(n_agents) < k[:, None]
     return action
 
 
 def solve_budget_argmax(values: np.ndarray, budget: int) -> np.ndarray:
     """Optimal feasible joint action for the given value table.
 
-    Returns an integer vector of length N. budget=0 forces the all-zero
-    action (always feasible).
+    `values` is one (N, A+1) table, giving an integer vector of length N,
+    or a (K, N, A+1) stack, giving one action per table as a (K, N) array.
+    budget=0 forces the all-zero action (always feasible).
     """
-    values = _check_table(values)
+    values = _check_table(values, (2, 3))
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    n_agents, n_actions = values.shape
+    tables = values if values.ndim == 3 else values[None]
+    n_batch, n_agents, n_actions = tables.shape
     if n_actions == 2:
-        return _binary_argmax(values, budget)
-    dp = _suffix_table(values, budget)
-    action = np.zeros(n_agents, dtype=int)
-    remaining = budget
-    for i in range(n_agents):
-        for a in range(min(n_actions - 1, remaining) + 1):
-            if values[i, a] + dp[i + 1, remaining - a] == dp[i, remaining]:
-                action[i] = a
-                remaining -= a
-                break
-    return action
+        action = _binary_argmax(tables, budget)
+    else:
+        dp, pad = _suffix_table(tables, budget)
+        rows = np.arange(n_batch)[:, None]
+        levels = np.arange(pad + 1)
+        action = np.zeros((n_batch, n_agents), dtype=int)
+        col = np.full((n_batch, 1), pad + budget)  # dp column of the budget left
+        for i in range(n_agents):
+            cand = tables[:, i, : pad + 1] + dp[rows, i + 1, col - levels]
+            # the smallest level that attains the optimum
+            action[:, i] = (cand == dp[rows, i, col]).argmax(axis=1)
+            col -= action[:, i, None]
+    return action if values.ndim == 3 else action[0]
 
 
 def max_joint_value(values: np.ndarray, budget: int) -> float:
     """Optimal objective value only (no reconstruction)."""
     values = _check_table(values)
-    return float(_suffix_table(values, budget)[0, budget])
+    dp, pad = _suffix_table(values[None], budget)
+    return float(dp[0, 0, pad + budget])
 
 
 def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
     """Vectorized optimal values for a (B, N, A+1) stack of tables.
 
-    Optimizes the same objective as max_joint_value; the floating-point
-    association may differ (training-loop bootstrap path, not the
-    exactness-tested solver).
+    Multi-level tables read the same suffix table as max_joint_value, so
+    their values are identical. Two-level tables take a top-k sum whose
+    floating-point association may differ (training-loop bootstrap path,
+    not the exactness-tested solver).
     """
     tables = np.asarray(tables, dtype=float)
     n_batch, n_agents, n_actions = tables.shape
@@ -105,14 +119,8 @@ def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
             top = np.partition(gains, n_agents - budget, axis=1)[:, n_agents - budget:]
             return base + top.sum(axis=1)
         return base + gains.sum(axis=1)
-    dp = np.zeros((n_batch, budget + 1))
-    for i in range(n_agents - 1, -1, -1):
-        row = np.full((n_batch, budget + 1), -np.inf)
-        for a in range(min(n_actions - 1, budget) + 1):
-            cand = tables[:, i, a][:, None] + dp[:, : budget + 1 - a]
-            row[:, a:] = np.maximum(row[:, a:], cand)
-        dp = row
-    return dp[:, budget]
+    dp, pad = _suffix_table(tables, budget)
+    return dp[:, 0, pad + budget]
 
 
 def joint_value(values: np.ndarray, action: np.ndarray) -> float:
@@ -144,14 +152,20 @@ def brute_force_argmax(values: np.ndarray, budget: int) -> np.ndarray:
 
 _COUNT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def count_feasible(n_agents: int, a_max: int, budget: int) -> np.ndarray:
-    """counts[i][b] = number of feasible suffix assignments for agents i.. with budget b."""
+    """counts[i][b] = number of feasible suffix assignments for agents i.. with budget b.
+
+    The counts are exact Python ints (an object array): they pass 2**63
+    already at N=64 binary agents with budget 32.
+    """
     key = (n_agents, a_max, budget)
     cached = _COUNT_CACHE.get(key)
     if cached is not None:
         return cached
-    counts = np.zeros((n_agents + 1, budget + 1), dtype=np.int64)
+    counts = np.zeros((n_agents + 1, budget + 1), dtype=object)
     counts[n_agents] = 1
     for i in range(n_agents - 1, -1, -1):
         for b in range(budget + 1):
@@ -159,6 +173,19 @@ def count_feasible(n_agents: int, a_max: int, budget: int) -> np.ndarray:
     counts.setflags(write=False)
     _COUNT_CACHE[key] = counts
     return counts
+
+
+def _uniform_below(total: int, rng: np.random.Generator) -> int:
+    """Exact uniform draw from range(total) for any positive Python int."""
+    if total <= _INT64_MAX:
+        return int(rng.integers(total))
+    # rejection sampling over whole bytes: each try is accepted with probability > 1/2
+    n_bits = (total - 1).bit_length()
+    n_bytes = (n_bits + 7) // 8
+    while True:
+        value = int.from_bytes(rng.bytes(n_bytes), "little") >> (8 * n_bytes - n_bits)
+        if value < total:
+            return value
 
 
 def sample_feasible_uniform(
@@ -172,8 +199,7 @@ def sample_feasible_uniform(
     action = np.zeros(n_agents, dtype=int)
     remaining = budget
     for i in range(n_agents):
-        total = counts[i, remaining]
-        pick = rng.integers(total)
+        pick = _uniform_below(counts[i, remaining], rng)
         acc = 0
         for a in range(min(a_max, remaining) + 1):
             acc += counts[i + 1, remaining - a]

@@ -27,9 +27,9 @@ from .valuenet import (
     Optimizer,
     ReplayBuffer,
     Transition,
-    action_value_table,
     action_value_table_batch,
     default_q_dims,
+    greedy_actions,
     init_mlp,
     mlp_forward_cached,
     mlp_gradient_step,
@@ -292,8 +292,7 @@ def train_drmarl(
                     n, a_max, env_config.n_chutes, explore_rng
                 )
             else:
-                table = action_value_table(params, obs, a_max)
-                action = budget.solve_budget_argmax(table, env_config.n_chutes)
+                action = greedy_actions(params, obs, a_max, env_config.n_chutes)
             if mode != "fixed":
                 group = select_worst_group(
                     mode,
@@ -439,25 +438,28 @@ def evaluate_policy(
 ) -> EvaluationReport:
     """Greedy rollouts: `trials` episodes per group with fresh inductions.
 
-    Evaluation streams are named by (group, trial) only, so different
-    policies face identical induction realizations.
+    All groups x trials episodes advance in lockstep as one (K, N) batch:
+    each step makes one batched observation, one Q forward (in row blocks
+    of at most valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with
+    K), one batched budget argmax and one simulator step. Every episode
+    draws its inductions from its own stream, named by (group, trial)
+    only, in the same order as a one-at-a-time `rollout` would, so
+    different policies face identical induction realizations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_start = time.perf_counter()
-
-    def greedy(state: warehouse.WarehouseState) -> np.ndarray:
+    episodes = [(g, trial) for g in range(group_set.size) for trial in range(trials)]
+    rngs = [stream(seed, "eval", g, trial) for g, trial in episodes]
+    state = warehouse.reset(env_config, batch=len(episodes))
+    for _ in range(env_config.episode_steps):
         obs = warehouse.observe_all(state, env_config)
-        table = action_value_table(params, obs, env_config.action_max)
-        return budget.solve_budget_argmax(table, env_config.n_chutes)
-
-    groups = []
-    for g in range(group_set.size):
-        episodes = []
-        for trial in range(trials):
-            rng = stream(seed, "eval", g, trial)
-            episodes.append(rollout(greedy, env_config, group_set, g, rng))
-        groups.append(GroupReport(group=g + 1, episodes=tuple(episodes)))
-    return EvaluationReport(
-        per_group=tuple(groups), wall_clock_s=time.perf_counter() - t_start
+        actions = greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
+        induction = np.stack([group_set.sample(g, rng) for (g, _), rng in zip(episodes, rngs)])
+        state = warehouse.step(state, actions, induction, env_config).next_state
+    metrics = warehouse.batch_metrics(state)
+    groups = tuple(
+        GroupReport(group=g + 1, episodes=tuple(metrics[g * trials : (g + 1) * trials]))
+        for g in range(group_set.size)
     )
+    return EvaluationReport(per_group=groups, wall_clock_s=time.perf_counter() - t_start)

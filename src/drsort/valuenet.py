@@ -208,25 +208,45 @@ def vdn_joint_q(params: MlpParams, observations: np.ndarray, actions: np.ndarray
     return total
 
 
+# Row cap of one forward pass in action_value_table: a lockstep batch of
+# episodes needs tens of thousands of rows, and evaluating them at once
+# would multiply the hidden activations' memory. A power of two, so every
+# block but the last is a whole multiple of the BLAS kernels' row unroll
+# (rows in a partial unroll may round differently).
+FORWARD_BLOCK_ROWS = 2048
+
+
 def action_value_table(params: MlpParams, observations: np.ndarray, a_max: int) -> np.ndarray:
-    """(N, A_max+1) table of Q'(i, o_i, a) for the budgeted argmax."""
-    n = observations.shape[0]
-    rows = np.repeat(observations, a_max + 1, axis=0)
-    acts = np.tile(np.arange(a_max + 1), n)
-    inputs = q_inputs(rows, acts, a_max)
-    return mlp_forward(params, inputs)[:, 0].reshape(n, a_max + 1)
+    """Q'(i, o_i, a) tables for the budgeted argmax: (..., N, OBS_DIM) -> (..., N, A_max+1).
+
+    Row r of the forward pass is agent r // (A_max+1) with action
+    r % (A_max+1); the rows go through the network in blocks of at most
+    FORWARD_BLOCK_ROWS, so memory stays bounded for any batch size.
+    """
+    width = a_max + 1
+    flat = observations.reshape(-1, observations.shape[-1])
+    n_rows = flat.shape[0] * width
+    out = np.empty(n_rows, dtype=params.dtype)
+    for start in range(0, n_rows, FORWARD_BLOCK_ROWS):
+        rows = np.arange(start, min(start + FORWARD_BLOCK_ROWS, n_rows))
+        inputs = q_inputs(flat[rows // width], rows % width, a_max)
+        out[start : start + len(rows)] = mlp_forward(params, inputs)[:, 0]
+    return out.reshape(observations.shape[:-1] + (width,))
 
 
-def action_value_table_batch(
-    params: MlpParams, observations: np.ndarray, a_max: int
+# The training bootstrap's name for the same forward, (B, N, OBS_DIM) -> (B, N, A_max+1).
+action_value_table_batch = action_value_table
+
+
+def greedy_actions(
+    params: MlpParams, observations: np.ndarray, a_max: int, budget_limit: int
 ) -> np.ndarray:
-    """Tables for a batch: (B, N, OBS_DIM) -> (B, N, A_max+1)."""
-    b, n, obs_dim = observations.shape
-    flat = observations.reshape(b * n, obs_dim)
-    rows = np.repeat(flat, a_max + 1, axis=0)
-    acts = np.tile(np.arange(a_max + 1), b * n)
-    inputs = q_inputs(rows, acts, a_max)
-    return mlp_forward(params, inputs)[:, 0].reshape(b, n, a_max + 1)
+    """Budgeted argmax joint action(s) of the value decomposition.
+
+    (N, OBS_DIM) observations give one (N,) action; (K, N, OBS_DIM) give (K, N).
+    """
+    table = action_value_table(params, observations, a_max)
+    return budget.solve_budget_argmax(table, budget_limit)
 
 
 def td_target(

@@ -50,21 +50,26 @@ def main_formulation_config() -> EnvConfig:
 
 @dataclass(frozen=True, eq=False)
 class WarehouseState:
-    """Environment state; equal by value, and unhashable because it holds arrays."""
+    """Environment state; equal by value, and unhashable because it holds arrays.
+
+    One episode holds (N,) arrays and integer counters. A batch of K
+    episodes advanced in lockstep holds (K, N) arrays and (K,) counters;
+    all its episodes share the step index t.
+    """
 
     t: int
     chutes_assigned: np.ndarray
     recirc_backlog: np.ndarray
-    cum_recirc: int
-    cum_sorted: int
+    cum_recirc: int | np.ndarray
+    cum_sorted: int | np.ndarray
 
     def __eq__(self, other):
         if not isinstance(other, WarehouseState):
             return NotImplemented
         return (
             self.t == other.t
-            and self.cum_recirc == other.cum_recirc
-            and self.cum_sorted == other.cum_sorted
+            and np.array_equal(self.cum_recirc, other.cum_recirc)
+            and np.array_equal(self.cum_sorted, other.cum_sorted)
             and np.array_equal(self.chutes_assigned, other.chutes_assigned)
             and np.array_equal(self.recirc_backlog, other.recirc_backlog)
         )
@@ -88,14 +93,27 @@ class EpisodeMetrics:
     recirc_amount: int
 
 
-def reset(config: EnvConfig, rng: np.random.Generator | None = None) -> WarehouseState:
-    n = config.n_destinations
+def reset(
+    config: EnvConfig, rng: np.random.Generator | None = None, *, batch: int | None = None
+) -> WarehouseState:
+    """Start state of one episode, or of `batch` episodes run in lockstep."""
+    if batch is None:
+        return WarehouseState(
+            t=0,
+            chutes_assigned=np.zeros(config.n_destinations, dtype=int),
+            recirc_backlog=np.zeros(config.n_destinations, dtype=int),
+            cum_recirc=0,
+            cum_sorted=0,
+        )
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    shape = (batch, config.n_destinations)
     return WarehouseState(
         t=0,
-        chutes_assigned=np.zeros(n, dtype=int),
-        recirc_backlog=np.zeros(n, dtype=int),
-        cum_recirc=0,
-        cum_sorted=0,
+        chutes_assigned=np.zeros(shape, dtype=int),
+        recirc_backlog=np.zeros(shape, dtype=int),
+        cum_recirc=np.zeros(batch, dtype=int),
+        cum_sorted=np.zeros(batch, dtype=int),
     )
 
 
@@ -105,13 +123,21 @@ def step(
     induction: np.ndarray,
     config: EnvConfig,
 ) -> StepOutcome:
-    """Advance one step under the given joint action and induction sample."""
+    """Advance one step under the given joint action and induction sample.
+
+    For a batched state, action and induction are (K, N) and every
+    outcome array gains the same leading axis.
+    """
     action = np.asarray(action, dtype=int)
     induction = np.asarray(induction, dtype=int)
-    n = config.n_destinations
-    if action.shape != (n,) or induction.shape != (n,):
+    shape = state.recirc_backlog.shape
+    if action.shape != shape or induction.shape != shape or shape[-1] != config.n_destinations:
         raise ValueError("action and induction must have one entry per destination")
-    if np.any(action < 0) or np.any(action > config.action_max) or action.sum() > config.n_chutes:
+    if (
+        action.min() < 0
+        or action.max() > config.action_max
+        or (action.sum(axis=-1) > config.n_chutes).any()
+    ):
         raise ValueError("infeasible joint action")
 
     arrivals = induction + (state.recirc_backlog if config.recirc_carryover else 0)
@@ -120,12 +146,16 @@ def step(
     recirculated = arrivals - sorted_counts
     rewards = -recirculated.astype(float) - config.action_penalty * action
 
+    recirc_total = recirculated.sum(axis=-1)
+    sorted_total = sorted_counts.sum(axis=-1)
+    if action.ndim == 1:
+        recirc_total, sorted_total = int(recirc_total), int(sorted_total)
     next_state = WarehouseState(
         t=state.t + 1,
         chutes_assigned=action.copy(),
-        recirc_backlog=recirculated.copy() if config.recirc_carryover else np.zeros(n, dtype=int),
-        cum_recirc=state.cum_recirc + int(recirculated.sum()),
-        cum_sorted=state.cum_sorted + int(sorted_counts.sum()),
+        recirc_backlog=recirculated.copy() if config.recirc_carryover else np.zeros(shape, dtype=int),
+        cum_recirc=state.cum_recirc + recirc_total,
+        cum_sorted=state.cum_sorted + sorted_total,
     )
     return StepOutcome(
         rewards=rewards,
@@ -137,7 +167,14 @@ def step(
 
 
 def observe(state: WarehouseState, agent_index: int, config: EnvConfig) -> np.ndarray:
-    """Fixed 5-feature local observation for agent_index (1-based).
+    """Local observation of agent_index (1-based): its row of observe_all."""
+    if not 1 <= agent_index <= config.n_destinations:
+        raise ValueError("agent_index out of range")
+    return observe_all(state, config)[..., agent_index - 1, :]
+
+
+def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
+    """(N, OBS_DIM) matrix of all agents' observations; (K, N, OBS_DIM) for a batch.
 
     Features, all scaled to [0, 1]:
       0. normalized agent index
@@ -146,35 +183,24 @@ def observe(state: WarehouseState, agent_index: int, config: EnvConfig) -> np.nd
       3. normalized step index t / T
       4. this agent's recirculation backlog / V, clipped at 1
     """
-    if not 1 <= agent_index <= config.n_destinations:
-        raise ValueError("agent_index out of range")
-    i = agent_index - 1
     n = config.n_destinations
-    available = config.n_chutes - int(state.chutes_assigned.sum())
+    available = config.n_chutes - state.chutes_assigned.sum(axis=-1, keepdims=True)
     backlog_scale = max(config.step_volume, 1)
-    return np.array(
-        [
-            i / (n - 1) if n > 1 else 0.0,
-            available / config.n_chutes,
-            state.chutes_assigned[i] / config.action_max,
-            state.t / config.episode_steps,
-            min(state.recirc_backlog[i] / backlog_scale, 1.0),
-        ]
-    )
-
-
-def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
-    """(N, OBS_DIM) matrix of all agents' observations."""
-    n = config.n_destinations
-    available = config.n_chutes - int(state.chutes_assigned.sum())
-    backlog_scale = max(config.step_volume, 1)
-    obs = np.empty((n, OBS_DIM))
-    obs[:, 0] = np.arange(n) / (n - 1) if n > 1 else 0.0
-    obs[:, 1] = available / config.n_chutes
-    obs[:, 2] = state.chutes_assigned / config.action_max
-    obs[:, 3] = state.t / config.episode_steps
-    obs[:, 4] = np.minimum(state.recirc_backlog / backlog_scale, 1.0)
+    obs = np.empty(state.chutes_assigned.shape + (OBS_DIM,))
+    obs[..., 0] = np.arange(n) / (n - 1) if n > 1 else 0.0
+    obs[..., 1] = available / config.n_chutes
+    obs[..., 2] = state.chutes_assigned / config.action_max
+    obs[..., 3] = state.t / config.episode_steps
+    obs[..., 4] = np.minimum(state.recirc_backlog / backlog_scale, 1.0)
     return obs
+
+
+def _metrics(total_sorted: int, total_recirc: int) -> EpisodeMetrics:
+    total_arrivals = total_sorted + total_recirc
+    rate = total_recirc / total_arrivals if total_arrivals > 0 else 0.0
+    return EpisodeMetrics(
+        recirc_rate=rate, throughput=total_sorted, recirc_amount=total_recirc
+    )
 
 
 def episode_metrics(outcomes: list[StepOutcome], config: EnvConfig) -> EpisodeMetrics:
@@ -187,11 +213,15 @@ def episode_metrics(outcomes: list[StepOutcome], config: EnvConfig) -> EpisodeMe
         raise ValueError("episode_metrics requires at least one step outcome")
     total_sorted = int(sum(int(o.sorted.sum()) for o in outcomes))
     total_recirc = int(sum(int(o.recirculated.sum()) for o in outcomes))
-    total_arrivals = total_sorted + total_recirc
-    rate = total_recirc / total_arrivals if total_arrivals > 0 else 0.0
-    return EpisodeMetrics(
-        recirc_rate=rate, throughput=total_sorted, recirc_amount=total_recirc
-    )
+    return _metrics(total_sorted, total_recirc)
+
+
+def batch_metrics(state: WarehouseState) -> list[EpisodeMetrics]:
+    """episode_metrics of each episode of a batch, from the counters of its final state."""
+    return [
+        _metrics(int(s), int(r))
+        for s, r in zip(np.atleast_1d(state.cum_sorted), np.atleast_1d(state.cum_recirc))
+    ]
 
 
 def trace_record(t: int, action, induction, outcome: StepOutcome) -> dict:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,47 @@ class TestTieBreaking:
         assert np.array_equal(budget.solve_budget_argmax(values, 2), [0, 1, 0, 1, 0])
 
 
+class TestBatchedArgmax:
+    @staticmethod
+    def tie_heavy_stack(seed, n_tables, n_agents, a_max):
+        return stream(seed, "stack").integers(0, 3, size=(n_tables, n_agents, a_max + 1)).astype(float)
+
+    def test_rows_match_brute_force_on_tie_heavy_tables(self):
+        for a_max in (1, 2, 3):
+            stack = self.tie_heavy_stack(a_max, 40, 4, a_max)
+            for m in range(0, 4 * a_max + 2):
+                actions = budget.solve_budget_argmax(stack, m)
+                assert actions.shape == (40, 4)
+                for table, action in zip(stack, actions):
+                    assert np.array_equal(action, budget.brute_force_argmax(table, m))
+
+    def test_single_table_stack_matches_2d_call(self):
+        rng = stream(10, "k1")
+        for a_max in (1, 3):
+            values = rng.normal(size=(6, a_max + 1))
+            for m in (0, 2, 5, 30):
+                stacked = budget.solve_budget_argmax(values[None], m)
+                assert stacked.shape == (1, 6)
+                assert np.array_equal(stacked[0], budget.solve_budget_argmax(values, m))
+
+    def test_dp_values_equal_max_joint_value_batch(self):
+        rng = stream(11, "dpvals")
+        stacks = [rng.normal(size=(25, 7, 4)), self.tie_heavy_stack(12, 25, 7, 3)]
+        for stack in stacks:
+            for m in (0, 3, 10, 21, 25):
+                actions = budget.solve_budget_argmax(stack, m)
+                values = budget.max_joint_value_batch(stack, m)
+                for table, action, value in zip(stack, actions, values):
+                    assert value == budget.joint_value(table, action)
+                    assert value == budget.max_joint_value(table, m)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match="2-D"):
+            budget.solve_budget_argmax(np.zeros((1, 2, 3, 2)), 1)
+        with pytest.raises(ValueError, match="2-D"):
+            budget.max_joint_value(np.zeros((2, 3, 2)), 1)
+
+
 class TestBruteForce:
     def test_single_agent_respects_budget(self):
         values = np.array([[0.0, 5.0, 9.0, 11.0]])
@@ -114,6 +157,27 @@ class TestBatchValues:
         got = budget.max_joint_value_batch(tables, 11)
         want = [budget.max_joint_value(tables[i], 11) for i in range(8)]
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def int64_sampler_oracle(n_agents, a_max, budget_limit, rng):
+    """The sequential sampler over int64 counts, valid while the counts fit."""
+    counts = np.zeros((n_agents + 1, budget_limit + 1), dtype=np.int64)
+    counts[n_agents] = 1
+    for i in range(n_agents - 1, -1, -1):
+        for b in range(budget_limit + 1):
+            counts[i, b] = sum(counts[i + 1, b - a] for a in range(min(a_max, b) + 1))
+    action = np.zeros(n_agents, dtype=int)
+    remaining = budget_limit
+    for i in range(n_agents):
+        pick = rng.integers(counts[i, remaining])
+        acc = 0
+        for a in range(min(a_max, remaining) + 1):
+            acc += counts[i + 1, remaining - a]
+            if pick < acc:
+                action[i] = a
+                remaining -= a
+                break
+    return action
 
 
 class TestUniformFeasibleSampling:
@@ -145,3 +209,34 @@ class TestUniformFeasibleSampling:
         assert len(tallies) == 7  # C(3,0)+C(3,1)+C(3,2)
         stat, p = chisquare(list(tallies.values()))
         assert p > 0.01
+
+    def test_counts_beyond_int64_are_exact(self):
+        counts = budget.count_feasible(64, 1, 32)
+        assert counts[0, 32] == sum(math.comb(64, k) for k in range(33))
+        assert counts[0, 32] > np.iinfo(np.int64).max
+
+    def test_feasible_draw_when_counts_exceed_int64(self):
+        rng = stream(10, "big")
+        for _ in range(5):
+            action = budget.sample_feasible_uniform(100, 10, 50, rng)
+            assert action.shape == (100,)
+            assert action.sum() <= 50
+            assert np.all((action >= 0) & (action <= 10))
+
+    def test_draws_beyond_int64_are_uniform(self):
+        total = 3 * 2**64 + 5
+        rng = stream(12, "bigdraw")
+        draws = [budget._uniform_below(total, rng) for _ in range(4000)]
+        assert all(0 <= d < total for d in draws)
+        # mean and the share below total/3 of a uniform draw, each within ~4 sigma
+        assert abs(np.mean([d / total for d in draws]) - 0.5) < 0.02
+        assert abs(np.mean([d < total // 3 for d in draws]) - 1 / 3) < 0.03
+
+    def test_int64_range_draws_follow_the_generator_stream(self):
+        for n, a_max, m in ((20, 1, 10), (20, 10, 10), (7, 3, 9)):
+            ours, oracle = stream(11, "compat"), stream(11, "compat")
+            for _ in range(30):
+                assert np.array_equal(
+                    budget.sample_feasible_uniform(n, a_max, m, ours),
+                    int64_sampler_oracle(n, a_max, m, oracle),
+                )

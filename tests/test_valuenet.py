@@ -162,6 +162,22 @@ class TestSharedLocalQ:
                     valuenet.local_q(self.params, obs[i], a, self.a_max), abs=1e-12
                 )
 
+    def test_stacked_tables_match_single_tables(self):
+        # 150 x 5 agents x 3 levels spans more than one forward block
+        obs = stream(12, "stack").uniform(size=(150, 5, valuenet.OBS_DIM))
+        assert obs[..., 0].size * (self.a_max + 1) > valuenet.FORWARD_BLOCK_ROWS
+        tables = valuenet.action_value_table(self.params, obs, self.a_max)
+        actions = valuenet.greedy_actions(self.params, obs, self.a_max, 4)
+        assert tables.shape == (150, 5, self.a_max + 1)
+        for k in range(150):
+            np.testing.assert_allclose(
+                tables[k], valuenet.action_value_table(self.params, obs[k], self.a_max),
+                rtol=1e-12, atol=1e-12,
+            )
+            assert np.array_equal(
+                actions[k], valuenet.greedy_actions(self.params, obs[k], self.a_max, 4)
+            )
+
     def test_action_onehot_bounds(self):
         with pytest.raises(ValueError):
             valuenet.action_onehot(3, 2)

@@ -253,6 +253,51 @@ class TestEpisodeMetrics:
         assert metrics.recirc_rate == 1.0
 
 
+class TestBatchedEpisodes:
+    def test_batch_rows_equal_single_episodes(self):
+        config = small_config(n_destinations=5, n_chutes=3, step_volume=30, action_max=2,
+                              action_penalty=1.5)
+        rng = stream(14, "batch")
+        k = 4
+        batch = warehouse.reset(config, batch=k)
+        singles = [warehouse.reset(config) for _ in range(k)]
+        outcomes = [[] for _ in range(k)]
+        for _ in range(config.episode_steps):
+            actions = np.zeros((k, 5), dtype=int)
+            for row in actions:
+                row[rng.choice(5, size=2, replace=False)] = [1, 2]
+            inductions = rng.multinomial(30, np.full(5, 0.2), size=k)
+            obs = warehouse.observe_all(batch, config)
+            assert obs.shape == (k, 5, warehouse.OBS_DIM)
+            out = warehouse.step(batch, actions, inductions, config)
+            for i in range(k):
+                assert np.array_equal(obs[i], warehouse.observe_all(singles[i], config))
+                single = warehouse.step(singles[i], actions[i], inductions[i], config)
+                for name in ("rewards", "sorted", "recirculated", "arrivals"):
+                    assert np.array_equal(getattr(out, name)[i], getattr(single, name)), name
+                outcomes[i].append(single)
+                singles[i] = single.next_state
+            batch = out.next_state
+        assert batch.t == config.episode_steps
+        assert warehouse.batch_metrics(batch) == [
+            warehouse.episode_metrics(o, config) for o in outcomes
+        ]
+        assert warehouse.batch_metrics(singles[0]) == [warehouse.episode_metrics(outcomes[0], config)]
+        assert type(singles[0].cum_recirc) is int and type(singles[0].cum_sorted) is int
+
+    def test_batched_step_checks_each_row(self):
+        config = small_config()
+        state = warehouse.reset(config, batch=2)
+        with pytest.raises(ValueError, match="infeasible joint action"):
+            warehouse.step(state, np.array([[1, 0, 0], [1, 1, 1]]), np.zeros((2, 3)), config)
+        with pytest.raises(ValueError, match="one entry per destination"):
+            warehouse.step(state, np.zeros(3), np.zeros(3), config)
+
+    def test_reset_rejects_empty_batch(self):
+        with pytest.raises(ValueError):
+            warehouse.reset(small_config(), batch=0)
+
+
 class TestTraceRecord:
     def test_record_shape(self):
         config = small_config()
