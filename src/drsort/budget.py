@@ -115,6 +115,8 @@ def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
     if n_actions == 2:
         base = tables[:, :, 0].sum(axis=1)
         gains = np.maximum(tables[:, :, 1] - tables[:, :, 0], 0.0)
+        if budget == 0:
+            return base
         if budget < n_agents:
             top = np.partition(gains, n_agents - budget, axis=1)[:, n_agents - budget:]
             return base + top.sum(axis=1)

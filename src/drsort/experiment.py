@@ -21,7 +21,9 @@ from . import bandit, training, valuenet
 from .config import ExperimentConfig, RunSpec, config_to_doc
 from .seeding import stream
 
-TRACE_COLUMNS = ("episode", "mode", "mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s")
+TRACE_COLUMNS = (
+    "episode", "mode", "mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s", "td_loss",
+)
 METRIC_COLUMNS = (
     "policy",
     "recirc_rate_mean",
@@ -45,7 +47,8 @@ def write_csv(path: Path, columns, rows) -> None:
 
 def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
     rows = [
-        (r.episode, r.mode, r.mean_return, r.recirc_rate, r.epsilon, r.wall_clock_s, r.cpu_s)
+        (r.episode, r.mode, r.mean_return, r.recirc_rate, r.epsilon, r.wall_clock_s, r.cpu_s,
+         r.td_loss)
         for r in trace
     ]
     write_csv(path, TRACE_COLUMNS, rows)
@@ -58,7 +61,7 @@ def read_trace_csv(path: Path) -> list[dict]:
     for line in lines[1:]:
         cells = line.split(",")
         record = dict(zip(header, cells))
-        for key in ("mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s"):
+        for key in ("mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s", "td_loss"):
             record[key] = float(record[key])
         record["episode"] = int(record["episode"])
         out.append(record)

@@ -185,12 +185,9 @@ class GroupSet:
             raise ValueError("all groups must share the same number of destinations")
         if len(volumes) != 1:
             raise ValueError("all groups must share the same volume")
-        cached = []
-        for g in self.groups:
-            p = g.probs()
-            p.setflags(write=False)
-            cached.append(p)
-        object.__setattr__(self, "_probs_cache", tuple(cached))
+        probs = np.stack([g.probs() for g in self.groups])
+        probs.setflags(write=False)
+        object.__setattr__(self, "_probs", probs)
 
     @property
     def size(self) -> int:
@@ -207,10 +204,15 @@ class GroupSet:
 
     def probs(self, group_index: int) -> np.ndarray:
         """Probability vector of group `group_index` (0-based); read-only view."""
-        return self._probs_cache[group_index]
+        return self._probs[group_index]
 
-    def sample(self, group_index: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.multinomial(self.volume, self._probs_cache[group_index])
+    def sample(self, group_index: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One induction count vector of group `group_index` (0-based).
+
+        For an array of group indices, one row per index, drawn in order:
+        the draws, and what they consume of `rng`, equal one call per index.
+        """
+        return rng.multinomial(self.volume, self._probs[group_index])
 
 
 APPENDIX_B_MEANS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)

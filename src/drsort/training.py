@@ -8,13 +8,19 @@ or a fixed group), and minibatch TD updates regress the joint value onto
 reward-plus-discounted budgeted max of the target network. The reward
 slot of each stored transition carries the reward observed under the
 selected group, which is what makes the loss distributionally robust.
+
+Exhaustive probing is the group-wise inner max of Group DRO by Monte
+Carlo: each of the m groups is scored by the mean joint reward of
+n_probe one-step forward simulations of the live state and action.
+All m * n_probe probes run as one batch, one multinomial draw and one
+`warehouse.step` on the live state broadcast to (m * n_probe, N); `step`
+is pure, so the live state is never copied or advanced.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +42,6 @@ from .valuenet import (
     params_digest,
     q_inputs,
     target_sync,
-    td_target,
 )
 
 WORST_CASE_MODES = ("cb", "exhaustive", "random", "fixed")
@@ -79,6 +84,7 @@ class TraceRow:
     epsilon: float
     wall_clock_s: float
     cpu_s: float
+    td_loss: float  # mean TD loss of the episode's gradient steps; NaN if it took none
 
 
 @dataclass
@@ -89,46 +95,33 @@ class TrainResult:
     cb_digest_after: str = ""
 
 
-def dr_td_target(
-    target_params: MlpParams,
-    worst_case_reward: float,
-    next_observations: np.ndarray,
-    *,
-    gamma: float,
-    budget_limit: int,
-    a_max: int,
-    terminal: bool = False,
-) -> float:
-    """Robust TD target: the reward slot carries the worst-case-group reward."""
-    return td_target(
-        target_params,
-        worst_case_reward,
-        next_observations,
-        gamma=gamma,
-        budget_limit=budget_limit,
-        a_max=a_max,
-        terminal=terminal,
-    )
-
-
 def probe_group_reward(
     state: warehouse.WarehouseState,
     action: np.ndarray,
     group_set: GroupSet,
-    group_index: int,
     env_config: warehouse.EnvConfig,
     rng: np.random.Generator,
     n_probe: int,
-) -> float:
-    """Average joint reward of n_probe single-step forward simulations,
-    each against a clone of the live state."""
-    total = 0.0
-    for _ in range(n_probe):
-        probe_state = warehouse.clone_state(state)
-        induction = group_set.sample(group_index, rng)
-        outcome = warehouse.step(probe_state, action, induction, env_config)
-        total += float(outcome.rewards.sum())
-    return total / n_probe
+) -> np.ndarray:
+    """(m,) mean joint reward of each group over n_probe one-step simulations.
+
+    The probes are one (m * n_probe, N) batch in group-major order, so the
+    draws consume `rng` exactly like n_probe draws per group, group by
+    group. Every probe reward is integer-valued, so the means are exact.
+    """
+    m = group_set.size
+    k = m * n_probe
+    shape = (k,) + state.recirc_backlog.shape
+    probes = replace(
+        state,
+        chutes_assigned=np.broadcast_to(state.chutes_assigned, shape),
+        recirc_backlog=np.broadcast_to(state.recirc_backlog, shape),
+        cum_recirc=np.broadcast_to(state.cum_recirc, (k,)),
+        cum_sorted=np.broadcast_to(state.cum_sorted, (k,)),
+    )
+    induction = group_set.sample(np.repeat(np.arange(m), n_probe), rng)
+    outcome = warehouse.step(probes, np.broadcast_to(action, shape), induction, env_config)
+    return outcome.rewards.sum(axis=-1).reshape(m, n_probe).sum(axis=1) / n_probe
 
 
 def select_worst_group(
@@ -150,10 +143,7 @@ def select_worst_group(
             raise ValueError("cb mode requires a trained predictor checkpoint")
         return cb_worst_group(cb_params, observations, action, env_config.action_max)
     if mode == "exhaustive":
-        estimates = [
-            probe_group_reward(state, action, group_set, g, env_config, rng, n_probe)
-            for g in range(group_set.size)
-        ]
+        estimates = probe_group_reward(state, action, group_set, env_config, rng, n_probe)
         return int(np.argmin(estimates))
     if mode == "random":
         return int(rng.integers(group_set.size))
@@ -278,6 +268,7 @@ def train_drmarl(
         )
         outcomes: list[warehouse.StepOutcome] = []
         returns = 0.0
+        losses: list[float] = []
         epsilon = train_config.epsilon_start
         for t in range(env_config.episode_steps):
             epsilon = epsilon_at(
@@ -327,12 +318,12 @@ def train_drmarl(
             )
             if len(buffer) >= train_config.batch_size:
                 batch = buffer.sample(train_config.batch_size, replay_rng)
-                _gradient_step(
+                losses.append(_gradient_step(
                     params, target_params, optimizer, batch, target_era,
                     gamma=train_config.gamma,
                     budget_limit=env_config.n_chutes,
                     a_max=a_max,
-                )
+                ))
                 gradient_steps += 1
                 if gradient_steps % train_config.target_sync_every == 0:
                     target_params = target_sync(params)
@@ -350,25 +341,12 @@ def train_drmarl(
                 epsilon=epsilon,
                 wall_clock_s=time.perf_counter() - wall_start,
                 cpu_s=time.process_time() - cpu_start,
+                td_loss=float(np.mean(losses)) if losses else float("nan"),
             )
         )
     if cb_params is not None:
         result.cb_digest_after = params_digest(cb_params)
     return result
-
-
-def train_marl(
-    train_config: TrainConfig,
-    env_config: warehouse.EnvConfig,
-    group_set: GroupSet,
-    seed: int,
-) -> TrainResult:
-    """Baseline trainer: the fixed-group special case of the robust loop."""
-    if train_config.fixed_group is None:
-        raise ValueError("train_marl requires a fixed training group")
-    if train_config.worst_case_mode != "fixed":
-        train_config = dataclasses.replace(train_config, worst_case_mode="fixed")
-    return train_drmarl(train_config, env_config, group_set, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,16 @@ class TestBatchValues:
         want = [budget.max_joint_value(tables[i], 11) for i in range(8)]
         assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("a_max", [1, 3])
+    def test_budgets_around_the_agent_count(self, a_max):
+        rng = stream(8, "batch3", a_max)
+        n_agents = 5
+        tables = rng.normal(size=(10, n_agents, a_max + 1))
+        for budget_limit in (0, 1, n_agents - 1, n_agents, n_agents + 1):
+            got = budget.max_joint_value_batch(tables, budget_limit)
+            want = [budget.max_joint_value(tables[i], budget_limit) for i in range(10)]
+            assert got == pytest.approx(want, abs=1e-9)
+
 
 def int64_sampler_oracle(n_agents, a_max, budget_limit, rng):
     """The sequential sampler over int64 counts, valid while the counts fit."""

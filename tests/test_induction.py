@@ -166,6 +166,16 @@ class TestGroupSet:
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
+    def test_sampling_an_index_array_equals_one_draw_per_index(self):
+        gs = induction.build_group_set("appendix-b")
+        indices = np.array([2, 0, 8, 2, 5])
+        batched_rng, scalar_rng = stream(3, "gs"), stream(3, "gs")
+        rows = gs.sample(indices, batched_rng)
+        assert rows.shape == (5, 20) and np.all(rows.sum(axis=1) == 1200)
+        assert np.array_equal(rows, np.stack([gs.sample(g, scalar_rng) for g in indices]))
+        assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert not gs.probs(4).flags.writeable
+
     def test_custom_single_group(self):
         spec = induction.MultinomialSpec(probs_vector=(1.0,), volume=5)
         gs = induction.build_group_set("custom", {"groups": [spec]})

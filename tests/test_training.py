@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from drsort import budget, config, training, warehouse
+from drsort import budget, config, experiment, training, warehouse
 from drsort.induction import GroupSet, MultinomialSpec
 from drsort.seeding import stream
 from drsort.valuenet import action_value_table, default_q_dims, init_mlp, params_digest
@@ -24,6 +25,24 @@ def per_episode_evaluation(params, env_config, group_set, trials, seed):
         )
         for g in range(group_set.size)
     ]
+
+
+def small_setup():
+    """N=6 destinations, 3 chutes, up to 2 per agent, and 4 groups."""
+    env = warehouse.EnvConfig(
+        n_destinations=6, n_chutes=3, episode_steps=5, step_volume=60, action_max=2,
+        action_penalty=1.0,
+    )
+    group_set = GroupSet(
+        kind="custom",
+        groups=(
+            MultinomialSpec(probs_vector=(0.5, 0.1, 0.1, 0.1, 0.1, 0.1), volume=60),
+            MultinomialSpec(probs_vector=(0.1, 0.1, 0.1, 0.1, 0.1, 0.5), volume=60),
+            MultinomialSpec(probs_vector=(0.0, 0.2, 0.3, 0.3, 0.2, 0.0), volume=60),
+            MultinomialSpec(probs_vector=(1 / 6,) * 6, volume=60),
+        ),
+    )
+    return env, group_set
 
 
 def random_q_params(env_config, seed, dtype=np.float64):
@@ -62,19 +81,7 @@ class TestEvaluatePolicy:
         assert_matches_reference(random_q_params(env, 3), env, group_set, 1, seed=13)
 
     def test_group_set_of_another_size(self):
-        env = warehouse.EnvConfig(
-            n_destinations=6, n_chutes=3, episode_steps=5, step_volume=60, action_max=2,
-            action_penalty=1.0,
-        )
-        group_set = GroupSet(
-            kind="custom",
-            groups=(
-                MultinomialSpec(probs_vector=(0.5, 0.1, 0.1, 0.1, 0.1, 0.1), volume=60),
-                MultinomialSpec(probs_vector=(0.1, 0.1, 0.1, 0.1, 0.1, 0.5), volume=60),
-                MultinomialSpec(probs_vector=(0.0, 0.2, 0.3, 0.3, 0.2, 0.0), volume=60),
-                MultinomialSpec(probs_vector=(1 / 6,) * 6, volume=60),
-            ),
-        )
+        env, group_set = small_setup()
         assert_matches_reference(random_q_params(env, 4), env, group_set, 3, seed=14)
 
     def test_trained_policy_matches_per_episode_rollouts(self):
@@ -98,3 +105,146 @@ class TestTrainDrmarl:
         other = training.train_drmarl(train, env, group_set, seed=22)
         assert params_digest(first.params) == params_digest(second.params)
         assert params_digest(first.params) != params_digest(other.params)
+
+
+def scalar_probe_estimates(state, action, group_set, env_config, rng, n_probe):
+    """Reference exhaustive probing: one cloned state, draw and step per probe, group by group."""
+    estimates = []
+    for g in range(group_set.size):
+        total = 0.0
+        for _ in range(n_probe):
+            probe_state = warehouse.clone_state(state)
+            induction = group_set.sample(g, rng)
+            outcome = warehouse.step(probe_state, action, induction, env_config)
+            total += float(outcome.rewards.sum())
+        estimates.append(total / n_probe)
+    return estimates
+
+
+def probe_cases(env, rng, count):
+    """The reset state, then random states (about half the agents backlogged) and actions."""
+    n, a_max, m = env.n_destinations, env.action_max, env.n_chutes
+    yield warehouse.reset(env), budget.sample_feasible_uniform(n, a_max, m, rng)
+    for _ in range(count):
+        backlog = rng.integers(0, env.step_volume // 4, size=n) * (rng.random(n) < 0.5)
+        state = warehouse.WarehouseState(
+            t=int(rng.integers(env.episode_steps)),
+            chutes_assigned=budget.sample_feasible_uniform(n, a_max, m, rng),
+            recirc_backlog=backlog,
+            cum_recirc=int(backlog.sum()),
+            cum_sorted=int(rng.integers(100_000)),
+        )
+        yield state, budget.sample_feasible_uniform(n, a_max, m, rng)
+
+
+def probe_setups():
+    """(env, group set, n_probe) by name."""
+    env, group_set, _, _ = config.appendix_b_defaults()
+    small_env, small_groups = small_setup()
+    return {
+        "appendix-b": (env, group_set, 8),
+        "main-formulation": (warehouse.main_formulation_config(), group_set, 8),
+        "small-n_probe-3": (small_env, small_groups, 3),
+        "carryover-off-n_probe-1": (
+            dataclasses.replace(small_env, recirc_carryover=False), small_groups, 1,
+        ),
+    }
+
+
+class TestExhaustiveProbing:
+    @pytest.mark.parametrize("setup", list(probe_setups()))
+    def test_batched_probes_match_the_scalar_loop(self, setup):
+        env, group_set, n_probe = probe_setups()[setup]
+        cases = stream(41, f"test/probe-cases/{setup}")
+        batched_rng = stream(41, "test/probe")
+        scalar_rng = stream(41, "test/probe")
+        for state, action in probe_cases(env, cases, 150):
+            before = warehouse.clone_state(state)
+            estimates = training.probe_group_reward(
+                state, action, group_set, env, batched_rng, n_probe
+            )
+            expected = scalar_probe_estimates(state, action, group_set, env, scalar_rng, n_probe)
+            assert estimates.shape == (group_set.size,)
+            assert estimates.tolist() == expected
+            assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+            assert state == before  # the live state is never advanced
+        assert len(set(expected)) > 1
+
+    @pytest.mark.parametrize("setup", ["appendix-b", "main-formulation"])
+    def test_exhaustive_selection_matches_the_scalar_argmin(self, setup):
+        env, group_set, n_probe = probe_setups()[setup]
+        cases = stream(42, f"test/probe-cases/{setup}")
+        probe_rng = stream(42, "test/probe")
+        scalar_rng = stream(42, "test/probe")
+        chosen = set()
+        for state, action in probe_cases(env, cases, 100):
+            group = training.select_worst_group(
+                "exhaustive",
+                group_set=group_set,
+                state=state,
+                observations=warehouse.observe_all(state, env),
+                action=action,
+                env_config=env,
+                rng=probe_rng,
+                n_probe=n_probe,
+            )
+            expected = scalar_probe_estimates(state, action, group_set, env, scalar_rng, n_probe)
+            assert group == int(np.argmin(expected))
+            assert probe_rng.bit_generator.state == scalar_rng.bit_generator.state
+            chosen.add(group)
+        assert len(chosen) > 1
+
+    def test_short_exhaustive_training_keeps_its_digest(self):
+        # recorded with the per-probe loop (numpy 2.4 with OpenBLAS 0.3.31, one thread)
+        env, group_set, train, _ = config.appendix_b_defaults()
+        train = dataclasses.replace(
+            train, episodes=3, batch_size=8, target_sync_every=5, worst_case_mode="exhaustive"
+        )
+        result = training.train_drmarl(train, env, group_set, seed=31)
+        assert params_digest(result.params) == (
+            "7c032d24068a39c014d6c574ae7f65b9fee73b525d4f826f4b018242135bb61e"
+        )
+
+
+class TestSelectWorstGroup:
+    def select(self, mode, **kwargs):
+        env, group_set, _, _ = config.appendix_b_defaults()
+        state = warehouse.reset(env)
+        return training.select_worst_group(
+            mode,
+            group_set=group_set,
+            state=state,
+            observations=warehouse.observe_all(state, env),
+            action=np.zeros(env.n_destinations, dtype=int),
+            env_config=env,
+            rng=stream(1, "test/select"),
+            **kwargs,
+        )
+
+    def test_cb_requires_a_predictor(self):
+        with pytest.raises(ValueError, match="predictor"):
+            self.select("cb")
+
+    def test_fixed_requires_a_group(self):
+        with pytest.raises(ValueError, match="fixed_group"):
+            self.select("fixed")
+        assert self.select("fixed", fixed_group=3) == 3
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown worst_case_mode"):
+            self.select("minimax")
+
+
+class TestTraceTdLoss:
+    def test_td_loss_is_nan_until_the_first_gradient_step(self, tmp_path):
+        env, group_set, train, _ = config.appendix_b_defaults()
+        # 10 steps per episode: the first episode never fills a batch of 16
+        train = dataclasses.replace(train, episodes=3, batch_size=16)
+        trace = training.train_drmarl(train, env, group_set, seed=23).trace
+        assert math.isnan(trace[0].td_loss)
+        assert all(math.isfinite(row.td_loss) and row.td_loss >= 0.0 for row in trace[1:])
+        path = tmp_path / "trace.csv"
+        experiment.write_trace_csv(path, trace)
+        records = experiment.read_trace_csv(path)
+        assert math.isnan(records[0]["td_loss"])
+        assert [r["td_loss"] for r in records[1:]] == [row.td_loss for row in trace[1:]]
