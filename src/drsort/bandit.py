@@ -116,7 +116,6 @@ def cb_update(
     params: MlpParams,
     optimizer: Optimizer,
     batch: list[CbTransition],
-    n_groups: int,
 ) -> float:
     """One gradient step on the per-head squared error; returns the batch loss.
 
@@ -169,10 +168,10 @@ def make_exploration_policy(
     rng: np.random.Generator,
     q_params: MlpParams | None = None,
 ):
-    if kind == "random" or (kind in ("checkpoint", "mixed") and q_params is None):
-        if kind == "checkpoint" and q_params is None:
-            raise ValueError("checkpoint exploration requires q_params")
+    if kind == "random":
         return random_table_policy(env_config, rng)
+    if kind in ("checkpoint", "mixed") and q_params is None:
+        raise ValueError(f"{kind} exploration requires q_params (a trained policy)")
     if kind == "checkpoint":
         return greedy_policy(q_params, env_config)
     if kind == "mixed":
@@ -258,7 +257,7 @@ def train_cb(
             )
             if len(buffer) >= cb_config.batch_size:
                 batch = buffer.sample(cb_config.batch_size, replay_rng)
-                losses.append(cb_update(params, optimizer, batch, m))
+                losses.append(cb_update(params, optimizer, batch))
             state = outcome.next_state
             step_count += 1
         if losses:

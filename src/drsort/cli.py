@@ -75,8 +75,7 @@ def _build_parser() -> _Parser:
 
 def _resolve_defaults(config_path: Path | None):
     if config_path is None:
-        env, group_set, train_cfg, cb_cfg = appendix_b_defaults()
-        return env, group_set, train_cfg, cb_cfg
+        return appendix_b_defaults()
     cfg = load_config(config_path)
     return cfg.env, cfg.group_set, cfg.train, cfg.cb
 
@@ -143,6 +142,12 @@ def _cmd_cb_train(args) -> int:
     q_params = None
     if args.policy_checkpoint is not None:
         q_params = valuenet.load_checkpoint(args.policy_checkpoint)["params"]
+    elif cb_cfg.explore in ("checkpoint", "mixed"):
+        raise ConfigError(
+            "--policy-checkpoint",
+            f"{cb_cfg.explore!r} exploration needs a trained policy checkpoint "
+            "(run `drsort train` first, or set cb.explore to \"random\" in --config)",
+        )
     policy_rng = stream(args.seed, "cb/explore-policy")
     explore = bandit.make_exploration_policy(cb_cfg.explore, env, policy_rng, q_params=q_params)
     result = bandit.train_cb(env, group_set, explore, cb_cfg, args.seed)

@@ -34,12 +34,6 @@ class RunSpec:
     seeds: tuple[int, ...]
     group: int | None = None  # 1-based, required for fixed mode
 
-    def __post_init__(self):
-        if self.mode not in WORST_CASE_MODES:
-            raise ConfigError("runs[].mode", f"unknown mode {self.mode!r}")
-        if self.mode == "fixed" and self.group is None:
-            raise ConfigError("runs[].group", "fixed mode requires a group")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,33 +96,6 @@ def appendix_b_defaults() -> tuple[EnvConfig, GroupSet, TrainConfig, CbConfig]:
 PRESETS = {"appendix-b": appendix_b_defaults}
 
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
-
-
-def standard_matrix_runs(
-    seeds: tuple[int, ...] = (1, 2, 3),
-    episodes: int = 300,
-    n_groups: int = 9,
-    group_specific_seeds: tuple[int, ...] = (1,),
-    center_group: int = CENTER_GROUP,
-) -> tuple[RunSpec, ...]:
-    """The full policy matrix: baseline, three robust modes, per-group."""
-    runs = [
-        RunSpec(name="marl-center", mode="fixed", episodes=episodes, seeds=seeds, group=center_group),
-        RunSpec(name="drmarl-cb", mode="cb", episodes=episodes, seeds=seeds),
-        RunSpec(name="drmarl-random", mode="random", episodes=episodes, seeds=seeds),
-        RunSpec(name="drmarl-exhaustive", mode="exhaustive", episodes=episodes, seeds=seeds),
-    ]
-    for g in range(1, n_groups + 1):
-        runs.append(
-            RunSpec(
-                name=f"marl-group-{g}",
-                mode="fixed",
-                episodes=episodes,
-                seeds=group_specific_seeds,
-                group=g,
-            )
-        )
-    return tuple(runs)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -213,10 +180,6 @@ def config_to_doc(config: ExperimentConfig) -> dict:
         ],
         "output_dir": config.output_dir,
     }
-
-
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_doc(config), indent=2)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -11,6 +11,7 @@ Outputs under the configured directory:
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import time
@@ -18,7 +19,7 @@ import traceback
 from pathlib import Path
 
 from . import bandit, training, valuenet
-from .config import ExperimentConfig, RunSpec, config_to_doc
+from .config import ExperimentConfig, RunSpec, config_to_doc, parse_config
 from .seeding import stream
 
 TRACE_COLUMNS = (
@@ -33,16 +34,12 @@ METRIC_COLUMNS = (
 )
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Header plus rows; floats are written with repr, so they read back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
@@ -55,16 +52,12 @@ def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
 
 
 def read_trace_csv(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        record = dict(zip(header, cells))
+    with open(path, newline="", encoding="utf-8") as fh:
+        out = list(csv.DictReader(fh))
+    for record in out:
         for key in ("mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s", "td_loss"):
             record[key] = float(record[key])
         record["episode"] = int(record["episode"])
-        out.append(record)
     return out
 
 
@@ -169,19 +162,23 @@ class ExperimentRunner:
     def run(self) -> dict:
         self.out.mkdir(parents=True, exist_ok=True)
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        for run in self.config.runs:
-            for seed in run.seeds:
-                try:
-                    self.run_docs.append(self._train_one(run, seed))
-                except Exception as exc:  # noqa: BLE001 - isolate per-run failures
-                    self.errors.append(
-                        {
-                            "name": run.name,
-                            "seed": seed,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": traceback.format_exc(),
-                        }
-                    )
+        jobs = [(run, seed) for run in self.config.runs for seed in run.seeds]
+        # Fixed-mode jobs run first; a stable sort keeps config order within
+        # both kinds. A seed's CB exploration then anchors on the first fixed
+        # run in the config that lists that seed, wherever its cb runs stand.
+        jobs.sort(key=lambda job: job[0].mode != "fixed")
+        for run, seed in jobs:
+            try:
+                self.run_docs.append(self._train_one(run, seed))
+            except Exception as exc:  # noqa: BLE001 - isolate per-run failures
+                self.errors.append(
+                    {
+                        "name": run.name,
+                        "seed": seed,
+                        "error": f"{type(exc).__name__}: {exc}",
+                        "traceback": traceback.format_exc(),
+                    }
+                )
         report = {
             "config": config_to_doc(self.config),
             "runs": self.run_docs,
@@ -249,8 +246,6 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     report = json.loads(report_path.read_text(encoding="utf-8"))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    from .config import parse_config  # late import to avoid cycle at module load
 
     config = parse_config(json.dumps(report["config"]))
     write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])

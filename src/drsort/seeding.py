@@ -32,11 +32,6 @@ def stream(master_seed: int, name: str, *qualifiers: int) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def generator_state(rng: np.random.Generator) -> dict:
-    """JSON-serializable snapshot of a generator's position."""
-    return rng.bit_generator.state
-
-
 def restore_generator(state: dict) -> np.random.Generator:
     bitgen = np.random.PCG64()
     bitgen.state = state

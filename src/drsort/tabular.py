@@ -18,7 +18,6 @@ Both operators are gamma-contractions in the sup norm.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,10 +52,6 @@ class TabularMdp:
         row_sums = transitions.sum(axis=-1)
         if np.any(np.abs(row_sums - 1.0) > TRANSITION_TOL):
             raise ValueError("each transition row must sum to 1")
-
-    @property
-    def n_groups(self) -> int:
-        return self.rewards.shape[0]
 
     @property
     def n_states(self) -> int:
@@ -126,10 +121,8 @@ def approx_bellman_apply(mdp: TabularMdp, q_table: np.ndarray) -> np.ndarray:
     """One application of the joint-min upper-bound operator U."""
     q_table = np.asarray(q_table, dtype=float)
     greedy_values = q_table.max(axis=1)
-    if mdp.per_group_transitions:
-        continuation = mdp.gamma * (mdp.transitions @ greedy_values)
-    else:
-        continuation = mdp.gamma * (mdp.transitions @ greedy_values)[None, :, :]
+    # (S, A) shared or (m, S, A) per-group; either broadcasts against rewards
+    continuation = mdp.gamma * (mdp.transitions @ greedy_values)
     return (mdp.rewards + continuation).min(axis=0)
 
 
@@ -146,77 +139,3 @@ def lower_bound_apply(mdp: TabularMdp, q_table: np.ndarray) -> np.ndarray:
     else:
         continuation = mdp.gamma * (mdp.transitions @ greedy_values)
     return mdp.rewards.min(axis=0) + continuation
-
-
-def default_max_iters(mdp: TabularMdp, tolerance: float) -> int:
-    """Standard value-iteration iteration bound with a safety margin."""
-    max_abs_reward = float(np.abs(mdp.rewards).max())
-    if max_abs_reward == 0.0:
-        return 16
-    bound = math.log(tolerance * (1.0 - mdp.gamma) / max_abs_reward) / math.log(mdp.gamma)
-    return int(math.ceil(bound)) + 16
-
-
-@dataclass(frozen=True)
-class ValueIterationResult:
-    q_table: np.ndarray
-    residuals: tuple[float, ...]
-    iterations: int
-
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
-
-
-def dr_value_iteration(
-    mdp: TabularMdp,
-    tolerance: float = 1e-10,
-    max_iters: int | None = None,
-) -> ValueIterationResult:
-    """Iterate the robust backup to its fixed point.
-
-    Uses T for shared transitions and U for per-group transitions.
-    Raises if max_iters is exhausted, reporting the last residual.
-    """
-    if max_iters is None:
-        max_iters = default_max_iters(mdp, tolerance)
-    backup = approx_bellman_apply if mdp.per_group_transitions else dr_bellman_apply
-    q_table = np.zeros((mdp.n_states, mdp.n_actions))
-    residuals: list[float] = []
-    for iteration in range(1, max_iters + 1):
-        updated = backup(mdp, q_table)
-        residual = float(np.abs(updated - q_table).max())
-        residuals.append(residual)
-        q_table = updated
-        if residual < tolerance:
-            return ValueIterationResult(
-                q_table=q_table, residuals=tuple(residuals), iterations=iteration
-            )
-    raise RuntimeError(
-        f"value iteration did not converge in {max_iters} iterations; "
-        f"last residual {residuals[-1]:.3e}"
-    )
-
-
-def greedy_policy(q_table: np.ndarray) -> np.ndarray:
-    """Greedy action per state; ties go to the smaller action index."""
-    return np.asarray(np.argmax(q_table, axis=1), dtype=int)
-
-
-def mdp_from_json(text: str) -> TabularMdp:
-    doc = json.loads(text)
-    return TabularMdp(
-        rewards=np.asarray(doc["rewards"], dtype=float),
-        transitions=np.asarray(doc["transitions"], dtype=float),
-        gamma=float(doc["gamma"]),
-    )
-
-
-def mdp_to_json(mdp: TabularMdp) -> str:
-    return json.dumps(
-        {
-            "rewards": mdp.rewards.tolist(),
-            "transitions": mdp.transitions.tolist(),
-            "gamma": mdp.gamma,
-        }
-    )

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"unknown worst_case_mode: {self.worst_case_mode!r}")
         if self.worst_case_mode == "fixed" and self.fixed_group is None:
             raise ValueError("fixed mode requires fixed_group")
+        if self.n_probe < 1:
+            raise ValueError(f"n_probe must be >= 1, got {self.n_probe}")
 
 
 @dataclass(frozen=True)
@@ -376,9 +378,6 @@ class EvaluationReport:
 
     def mean_over_groups(self, attr: str) -> float:
         return float(np.mean([g.mean(attr) for g in self.per_group]))
-
-    def std_over_groups(self, attr: str) -> float:
-        return float(np.std([g.mean(attr) for g in self.per_group]))
 
     def episode_values(self, attr: str) -> np.ndarray:
         """All per-episode values pooled across groups."""

@@ -170,14 +170,6 @@ def default_q_dims(a_max: int, hidden: tuple[int, int] = (64, 64)) -> list[int]:
     return [q_input_dim(a_max), *hidden, 1]
 
 
-def action_onehot(action_value: int, a_max: int) -> np.ndarray:
-    if not 0 <= action_value <= a_max:
-        raise ValueError("action value out of range")
-    onehot = np.zeros(a_max + 1)
-    onehot[action_value] = 1.0
-    return onehot
-
-
 def q_inputs(observations: np.ndarray, actions: np.ndarray, a_max: int) -> np.ndarray:
     """Stack (N, OBS_DIM) observations with one-hot actions into (N, in_dim)."""
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
@@ -187,25 +179,6 @@ def q_inputs(observations: np.ndarray, actions: np.ndarray, a_max: int) -> np.nd
     rows[:, : observations.shape[1]] = observations
     rows[np.arange(n), observations.shape[1] + actions] = 1.0
     return rows
-
-
-def local_q(
-    params: MlpParams, observation: np.ndarray, action_value: int, a_max: int
-) -> float:
-    """Shared Q' evaluated for one agent's observation and action."""
-    row = q_inputs(observation[None, :], np.array([action_value]), a_max)
-    return float(mlp_forward(params, row)[0, 0])
-
-
-def vdn_joint_q(params: MlpParams, observations: np.ndarray, actions: np.ndarray, a_max: int) -> float:
-    """Joint value: sum of local values, left-to-right by agent index.
-
-    Evaluates local_q per agent so the additivity contract holds exactly.
-    """
-    total = 0.0
-    for i in range(observations.shape[0]):
-        total = total + local_q(params, observations[i], int(actions[i]), a_max)
-    return total
 
 
 # Row cap of one forward pass in action_value_table: a lockstep batch of
@@ -247,40 +220,6 @@ def greedy_actions(
     """
     table = action_value_table(params, observations, a_max)
     return budget.solve_budget_argmax(table, budget_limit)
-
-
-def td_target(
-    target_params: MlpParams,
-    reward: float,
-    next_observations: np.ndarray,
-    *,
-    gamma: float,
-    budget_limit: int,
-    a_max: int,
-    terminal: bool = False,
-) -> float:
-    """reward + gamma * budget-constrained max_a' joint target value."""
-    if terminal:
-        return float(reward)
-    table = action_value_table(target_params, next_observations, a_max)
-    return float(reward) + gamma * budget.max_joint_value(table, budget_limit)
-
-
-def td_target_batch(
-    target_params: MlpParams,
-    rewards: np.ndarray,
-    next_observations: np.ndarray,
-    terminals: np.ndarray,
-    *,
-    gamma: float,
-    budget_limit: int,
-    a_max: int,
-) -> np.ndarray:
-    tables = action_value_table_batch(target_params, next_observations, a_max)
-    bootstrap = budget.max_joint_value_batch(tables, budget_limit)
-    return np.asarray(rewards, dtype=float) + gamma * bootstrap * (
-        1.0 - np.asarray(terminals, dtype=float)
-    )
 
 
 # ---------------------------------------------------------------------------

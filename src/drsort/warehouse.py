@@ -12,7 +12,7 @@ re-arrive at the next step. Reward per agent is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +36,6 @@ class EnvConfig:
             raise ValueError("episode_steps must be >= 1")
         if self.step_volume < 0 or self.action_max < 1 or self.action_penalty < 0:
             raise ValueError("invalid step_volume / action_max / action_penalty")
-
-
-def appendix_b_config() -> EnvConfig:
-    """Binary actions, no action penalty, 20 destinations, 10 chutes."""
-    return EnvConfig()
 
 
 def main_formulation_config() -> EnvConfig:
@@ -83,7 +78,6 @@ class StepOutcome:
     sorted: np.ndarray
     recirculated: np.ndarray
     next_state: WarehouseState
-    arrivals: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,7 @@ class EpisodeMetrics:
     recirc_amount: int
 
 
-def reset(
-    config: EnvConfig, rng: np.random.Generator | None = None, *, batch: int | None = None
-) -> WarehouseState:
+def reset(config: EnvConfig, *, batch: int | None = None) -> WarehouseState:
     """Start state of one episode, or of `batch` episodes run in lockstep."""
     if batch is None:
         return WarehouseState(
@@ -162,7 +154,6 @@ def step(
         sorted=sorted_counts,
         recirculated=recirculated,
         next_state=next_state,
-        arrivals=arrivals,
     )
 
 

@@ -1,0 +1,61 @@
+import json
+
+from drsort import cli
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_verify_passes(capsys):
+    code = cli.main(["verify"])
+    assert code == cli.EXIT_OK
+    assert "all 7 property suites passed" in capsys.readouterr().out
+
+
+def test_usage_errors_exit_1(capsys):
+    assert run(capsys)[0] == cli.EXIT_USAGE
+    assert run(capsys, "train", "--mode", "fixed")[0] == cli.EXIT_USAGE  # no --seed
+    assert run(capsys, "train", "--mode", "minimax", "--seed", 1)[0] == cli.EXIT_USAGE
+
+
+def test_fixed_training_without_a_group_exits_2(capsys, tmp_path):
+    code, err = run(capsys, "train", "--mode", "fixed", "--seed", 1, "--out", tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "--group" in err
+    code, err = run(capsys, "train", "--mode", "fixed", "--group", 10, "--seed", 1,
+                    "--out", tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "[1, 9]" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mixed_cb_training_without_a_policy_checkpoint_exits_2(capsys, tmp_path):
+    code, err = run(capsys, "cb-train", "--seed", 1, "--episodes", 1, "--out", tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "--policy-checkpoint" in err and "'mixed'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_of_a_checkpoint_with_another_format_version_exits_3(capsys, tmp_path):
+    checkpoint = tmp_path / "policy.json"
+    checkpoint.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
+    code, err = run(capsys, "eval", "--checkpoint", checkpoint, "--seed", 1, "--out", tmp_path)
+    assert code == cli.EXIT_RUNTIME
+    assert "format version" in err
+
+
+def test_train_cb_train_and_eval_chain(capsys, tmp_path):
+    assert run(capsys, "train", "--mode", "fixed", "--group", 5, "--episodes", 1,
+               "--seed", 1, "--out", tmp_path)[0] == cli.EXIT_OK
+    policy = tmp_path / "policy-fixed-g5-s1.json"
+    assert run(capsys, "cb-train", "--episodes", 1, "--seed", 1,
+               "--policy-checkpoint", policy, "--out", tmp_path)[0] == cli.EXIT_OK
+    assert run(capsys, "train", "--mode", "cb", "--episodes", 1, "--seed", 1,
+               "--cb-checkpoint", tmp_path / "cb-s1.json", "--out", tmp_path)[0] == cli.EXIT_OK
+    assert run(capsys, "eval", "--checkpoint", tmp_path / "policy-cb-s1.json",
+               "--trials", 1, "--seed", 2, "--out", tmp_path)[0] == cli.EXIT_OK
+    doc = json.loads((tmp_path / "eval-policy-cb-s1.json").read_text(encoding="utf-8"))
+    assert [g["group"] for g in doc["per_group"]] == list(range(1, 10))
+    assert (tmp_path / "cb_s1.csv").read_text(encoding="utf-8").startswith("episode,loss\n")

@@ -248,3 +248,11 @@ class TestTraceTdLoss:
         records = experiment.read_trace_csv(path)
         assert math.isnan(records[0]["td_loss"])
         assert [r["td_loss"] for r in records[1:]] == [row.td_loss for row in trace[1:]]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("n_probe", [0, -1])
+    def test_rejects_fewer_than_one_probe(self, n_probe):
+        with pytest.raises(ValueError, match="n_probe must be >= 1"):
+            training.TrainConfig(worst_case_mode="exhaustive", n_probe=n_probe)
+        assert training.TrainConfig(worst_case_mode="exhaustive", n_probe=1).n_probe == 1

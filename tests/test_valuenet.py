@@ -1,9 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from drsort import valuenet
+from drsort import budget, training, valuenet
 from drsort.seeding import stream
 from drsort.verify import max_relative_gradient_error
 
@@ -20,6 +18,31 @@ def naive_forward(params, x):
             pre[j] = acc
         h = np.maximum(pre, 0.0) if layer < params.n_layers - 1 else pre
     return h
+
+
+def action_onehot(action_value, a_max):
+    if not 0 <= action_value <= a_max:
+        raise ValueError("action value out of range")
+    onehot = np.zeros(a_max + 1)
+    onehot[action_value] = 1.0
+    return onehot
+
+
+def local_q(params, observation, action_value, a_max):
+    """Shared Q' of one agent's observation and action, as a one-row forward.
+
+    Builds its input row by concatenation, independently of `valuenet.q_inputs`.
+    """
+    row = np.concatenate([observation, action_onehot(action_value, a_max)])
+    return float(valuenet.mlp_forward(params, row[None, :])[0, 0])
+
+
+def vdn_joint_q(params, observations, actions, a_max):
+    """Joint value: the sum of local values, left to right by agent index."""
+    total = 0.0
+    for i in range(observations.shape[0]):
+        total = total + local_q(params, observations[i], int(actions[i]), a_max)
+    return total
 
 
 class TestMlpForward:
@@ -118,7 +141,7 @@ class TestSharedLocalQ:
 
     def test_weight_sharing_identical_inputs(self):
         obs = np.linspace(0, 1, valuenet.OBS_DIM)
-        assert valuenet.local_q(self.params, obs, 1, self.a_max) == valuenet.local_q(
+        assert local_q(self.params, obs, 1, self.a_max) == local_q(
             self.params, obs, 1, self.a_max
         )
 
@@ -127,29 +150,29 @@ class TestSharedLocalQ:
         for _ in range(20):
             obs = rng.uniform(size=valuenet.OBS_DIM)
             a = int(rng.integers(self.a_max + 1))
-            assert np.isfinite(valuenet.local_q(self.params, obs, a, self.a_max))
+            assert np.isfinite(local_q(self.params, obs, a, self.a_max))
 
     def test_vdn_joint_is_sum_of_locals(self):
         rng = stream(9, "vdn")
         obs = rng.uniform(size=(4, valuenet.OBS_DIM))
         actions = np.array([0, 2, 1, 0])
-        joint = valuenet.vdn_joint_q(self.params, obs, actions, self.a_max)
+        joint = vdn_joint_q(self.params, obs, actions, self.a_max)
         total = 0.0
         for i in range(4):
-            total = total + valuenet.local_q(self.params, obs[i], int(actions[i]), self.a_max)
+            total = total + local_q(self.params, obs[i], int(actions[i]), self.a_max)
         assert joint == total  # same left-to-right float summation
 
     def test_single_agent_equals_local(self):
         rng = stream(10, "one")
         obs = rng.uniform(size=(1, valuenet.OBS_DIM))
-        assert valuenet.vdn_joint_q(self.params, obs, np.array([1]), self.a_max) == pytest.approx(
-            valuenet.local_q(self.params, obs[0], 1, self.a_max), abs=1e-12
+        assert vdn_joint_q(self.params, obs, np.array([1]), self.a_max) == pytest.approx(
+            local_q(self.params, obs[0], 1, self.a_max), abs=1e-12
         )
 
     def test_permuting_identical_agents_keeps_joint_value(self):
         obs = np.tile(np.linspace(0, 1, valuenet.OBS_DIM), (2, 1))
-        forward = valuenet.vdn_joint_q(self.params, obs, np.array([0, 2]), self.a_max)
-        reverse = valuenet.vdn_joint_q(self.params, obs, np.array([2, 0]), self.a_max)
+        forward = vdn_joint_q(self.params, obs, np.array([0, 2]), self.a_max)
+        reverse = vdn_joint_q(self.params, obs, np.array([2, 0]), self.a_max)
         assert forward == pytest.approx(reverse, abs=1e-12)
 
     def test_action_value_table_matches_local_q(self):
@@ -159,7 +182,7 @@ class TestSharedLocalQ:
         for i in range(3):
             for a in range(self.a_max + 1):
                 assert table[i, a] == pytest.approx(
-                    valuenet.local_q(self.params, obs[i], a, self.a_max), abs=1e-12
+                    local_q(self.params, obs[i], a, self.a_max), abs=1e-12
                 )
 
     def test_stacked_tables_match_single_tables(self):
@@ -180,57 +203,68 @@ class TestSharedLocalQ:
 
     def test_action_onehot_bounds(self):
         with pytest.raises(ValueError):
-            valuenet.action_onehot(3, 2)
+            action_onehot(3, 2)
+
+
+def transition(next_observations, *, reward=0.0, terminal=False):
+    n = next_observations.shape[0]
+    return valuenet.Transition(
+        observations=np.zeros_like(next_observations),
+        action=np.zeros(n, dtype=int),
+        group=0,
+        reward=reward,
+        next_observations=next_observations,
+        terminal=terminal,
+    )
+
+
+def bootstrap_values(params, batch, era=0, *, budget_limit=2, a_max=1):
+    return training._bootstrap_values(
+        params, batch, era, budget_limit=budget_limit, a_max=a_max
+    )
 
 
 class TestTdTarget:
+    """The trainer's TD target: reward + gamma * training._bootstrap_values."""
+
     def setup_method(self):
         self.a_max = 1
         self.params = valuenet.init_mlp(valuenet.default_q_dims(self.a_max, (8, 8)), stream(12, "td"))
 
     def test_terminal_returns_reward(self):
         obs = np.zeros((3, valuenet.OBS_DIM))
-        got = valuenet.td_target(
-            self.params, -4.0, obs, gamma=0.9, budget_limit=2, a_max=self.a_max, terminal=True
-        )
-        assert got == -4.0
-
-    def test_gamma_zero_returns_reward(self):
-        obs = np.random.default_rng(0).uniform(size=(3, valuenet.OBS_DIM))
-        got = valuenet.td_target(
-            self.params, 1.25, obs, gamma=0.0, budget_limit=2, a_max=self.a_max
-        )
-        assert got == pytest.approx(1.25, abs=1e-12)
+        (value,) = bootstrap_values(self.params, [transition(obs, reward=-4.0, terminal=True)])
+        assert value == 0.0
+        assert -4.0 + 0.9 * value == -4.0
 
     def test_bootstrap_matches_exhaustive_enumeration(self):
+        # a_max=1 takes the binary top-k branch of max_joint_value_batch, a_max=2 the DP
         rng = stream(13, "enum")
-        n, budget, gamma = 4, 2, 0.9
-        obs = rng.uniform(size=(n, valuenet.OBS_DIM))
-        table = valuenet.action_value_table(self.params, obs, self.a_max)
-        best = max(
-            sum(table[i, a] for i, a in enumerate(actions))
-            for actions in itertools.product(range(self.a_max + 1), repeat=n)
-            if sum(actions) <= budget
-        )
-        got = valuenet.td_target(
-            self.params, 1.0, obs, gamma=gamma, budget_limit=budget, a_max=self.a_max
-        )
-        assert got == pytest.approx(1.0 + gamma * best, abs=1e-9)
-
-    def test_batch_matches_scalar(self):
-        rng = stream(14, "tdb")
-        obs = rng.uniform(size=(5, 3, valuenet.OBS_DIM))
-        rewards = rng.normal(size=5)
-        terminals = np.array([False, True, False, False, True])
-        got = valuenet.td_target_batch(
-            self.params, rewards, obs, terminals, gamma=0.8, budget_limit=2, a_max=self.a_max
-        )
-        for k in range(5):
-            want = valuenet.td_target(
-                self.params, rewards[k], obs[k],
-                gamma=0.8, budget_limit=2, a_max=self.a_max, terminal=bool(terminals[k]),
+        n, budget_limit, gamma = 4, 2, 0.9
+        for a_max in (1, 2):
+            params = valuenet.init_mlp(valuenet.default_q_dims(a_max, (8, 8)), rng)
+            obs = rng.uniform(size=(n, valuenet.OBS_DIM))
+            table = valuenet.action_value_table(params, obs, a_max)
+            best = budget.joint_value(table, budget.brute_force_argmax(table, budget_limit))
+            (value,) = bootstrap_values(
+                params, [transition(obs)], budget_limit=budget_limit, a_max=a_max
             )
-            assert got[k] == pytest.approx(want, abs=1e-9)
+            assert 1.0 + gamma * value == pytest.approx(1.0 + gamma * best, abs=1e-9)
+
+    def test_bootstrap_is_memoised_per_target_era(self):
+        rng = stream(14, "memo")
+        batch = [transition(rng.uniform(size=(3, valuenet.OBS_DIM))) for _ in range(4)]
+        batch.append(transition(rng.uniform(size=(3, valuenet.OBS_DIM)), terminal=True))
+        first = bootstrap_values(self.params, batch, era=0)
+        synced = valuenet.init_mlp(valuenet.default_q_dims(self.a_max, (8, 8)), rng)
+        # same era: the cached values stand although the target parameters changed
+        assert np.array_equal(bootstrap_values(synced, batch, era=0), first)
+        # a new era recomputes them with the new parameters
+        recomputed = bootstrap_values(synced, batch, era=1)
+        fresh = bootstrap_values(synced, [transition(t.next_observations) for t in batch[:4]])
+        assert np.array_equal(recomputed[:4], fresh)
+        assert not np.array_equal(recomputed[:4], first[:4])
+        assert recomputed[4] == first[4] == 0.0
 
 
 class TestReplayBuffer:

@@ -25,8 +25,8 @@ class TestReset:
 
     def test_reset_is_deterministic(self):
         config = warehouse.EnvConfig()
-        a = warehouse.reset(config, stream(5, "r"))
-        b = warehouse.reset(config, stream(5, "r"))
+        a = warehouse.reset(config)
+        b = warehouse.reset(config)
         assert np.array_equal(a.chutes_assigned, b.chutes_assigned)
         assert a == b or (a.t == b.t and a.cum_recirc == b.cum_recirc)
 
@@ -273,7 +273,7 @@ class TestBatchedEpisodes:
             for i in range(k):
                 assert np.array_equal(obs[i], warehouse.observe_all(singles[i], config))
                 single = warehouse.step(singles[i], actions[i], inductions[i], config)
-                for name in ("rewards", "sorted", "recirculated", "arrivals"):
+                for name in ("rewards", "sorted", "recirculated"):
                     assert np.array_equal(getattr(out, name)[i], getattr(single, name)), name
                 outcomes[i].append(single)
                 singles[i] = single.next_state
