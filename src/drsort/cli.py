@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -80,6 +81,16 @@ def _resolve_defaults(config_path: Path | None):
     return cfg.env, cfg.group_set, cfg.train, cfg.cb
 
 
+@contextlib.contextmanager
+def _jsonl_sink(path: Path | None):
+    """A trace sink writing one JSON record per line to `path`; None when path is None."""
+    if path is None:
+        yield None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield lambda record: fh.write(json.dumps(record) + "\n")
+
+
 def _cmd_train(args) -> int:
     env, group_set, train_cfg, _ = _resolve_defaults(args.config)
     if args.mode == "fixed":
@@ -105,21 +116,11 @@ def _cmd_train(args) -> int:
     train_cfg = dataclasses.replace(train_cfg, **updates)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    sink = None
-    trace_file = None
-    if args.trace:
-        trace_file = open(args.out / f"trajectory_train-s{args.seed}.jsonl", "w", encoding="utf-8")
-
-        def sink(record):
-            trace_file.write(json.dumps(record) + "\n")
-
-    try:
+    trace_path = args.out / f"trajectory_train-s{args.seed}.jsonl" if args.trace else None
+    with _jsonl_sink(trace_path) as sink:
         result = training.train_drmarl(
             train_cfg, env, group_set, args.seed, cb_params, trace_sink=sink
         )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
     tag = f"{args.mode}" + (f"-g{args.group}" if args.group else "") + f"-s{args.seed}"
     experiment.write_trace_csv(args.out / f"trace_train-{tag}.csv", result.trace)
@@ -174,21 +175,16 @@ def _cmd_cb_train(args) -> int:
 def _cmd_eval(args) -> int:
     env, group_set, _, _ = _resolve_defaults(args.config)
     params = valuenet.load_checkpoint(args.checkpoint)["params"]
-    report = training.evaluate_policy(params, env, group_set, args.trials, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
+    # the trace holds each group's trial-0 episode of this very evaluation
+    trace_path = args.out / f"trajectory_eval-{args.checkpoint.stem}.jsonl" if args.trace else None
+    with _jsonl_sink(trace_path) as sink:
+        report = training.evaluate_policy(
+            params, env, group_set, args.trials, args.seed, trace_sink=sink
+        )
     doc = experiment.evaluation_to_doc(report)
     out_path = args.out / f"eval-{args.checkpoint.stem}.json"
     out_path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    if args.trace:
-        trace_path = args.out / f"trajectory_eval-{args.checkpoint.stem}.jsonl"
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            rng = stream(args.seed, "eval-trace")
-            policy = bandit.greedy_policy(params, env)
-            for g in range(group_set.size):
-                training.rollout(
-                    policy, env, group_set, g, rng,
-                    trace_sink=lambda rec: fh.write(json.dumps(rec) + "\n"),
-                )
     mean_rate = report.mean_over_groups("recirc_rate")
     print(f"evaluated {args.checkpoint} on {group_set.size} groups: "
           f"mean recirc rate {mean_rate:.4%} -> {out_path}")

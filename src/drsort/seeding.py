@@ -30,9 +30,3 @@ def stream(master_seed: int, name: str, *qualifiers: int) -> np.random.Generator
     entropy = [int(master_seed) & _MASK64, _name_token(name)]
     entropy.extend(int(q) & _MASK64 for q in qualifiers)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def restore_generator(state: dict) -> np.random.Generator:
-    bitgen = np.random.PCG64()
-    bitgen.state = state
-    return np.random.Generator(bitgen)

@@ -197,9 +197,7 @@ def _gradient_step(
         target_params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
     targets = rewards + gamma * bootstrap
-    rows = q_inputs(
-        obs.reshape(-1, obs.shape[2]), actions.reshape(-1), a_max
-    )
+    rows = q_inputs(obs.reshape(-1, obs.shape[2]), actions.reshape(-1), a_max, params.dtype)
     preds, cache = mlp_forward_cached(params, rows)
     locals_ = preds[:, 0].reshape(len(batch), n_agents)
     joint = np.zeros(len(batch))
@@ -412,28 +410,45 @@ def evaluate_policy(
     group_set: GroupSet,
     trials: int,
     seed: int,
+    trace_sink=None,
 ) -> EvaluationReport:
     """Greedy rollouts: `trials` episodes per group with fresh inductions.
 
     All groups x trials episodes advance in lockstep as one (K, N) batch:
-    each step makes one batched observation, one Q forward (in row blocks
-    of at most valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with
-    K), one batched budget argmax and one simulator step. Every episode
-    draws its inductions from its own stream, named by (group, trial)
-    only, in the same order as a one-at-a-time `rollout` would, so
-    different policies face identical induction realizations.
+    each step makes one batched observation, one greedy_actions call and
+    one simulator step. greedy_actions runs the Q forward once per
+    distinct observation row (in padded row blocks of at most
+    valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with K) and the
+    budget argmax once per distinct table stack; both merges are exact,
+    so every episode's actions equal a one-at-a-time `rollout`'s. Every
+    episode draws its inductions from its own stream, named by (group,
+    trial) only, in the same order as that `rollout` would, so different
+    policies face identical induction realizations.
+
+    `trace_sink`, if given, receives the trajectory records
+    (warehouse.trace_record) of each group's trial-0 episode: all steps of
+    group 1, then of group 2, and so on, after the last step.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_start = time.perf_counter()
     episodes = [(g, trial) for g in range(group_set.size) for trial in range(trials)]
     rngs = [stream(seed, "eval", g, trial) for g, trial in episodes]
+    traced = {g * trials: [] for g in range(group_set.size)} if trace_sink is not None else {}
     state = warehouse.reset(env_config, batch=len(episodes))
-    for _ in range(env_config.episode_steps):
+    for t in range(env_config.episode_steps):
         obs = warehouse.observe_all(state, env_config)
         actions = greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
         induction = np.stack([group_set.sample(g, rng) for (g, _), rng in zip(episodes, rngs)])
-        state = warehouse.step(state, actions, induction, env_config).next_state
+        outcome = warehouse.step(state, actions, induction, env_config)
+        for k, records in traced.items():
+            records.append(warehouse.trace_record(
+                t, actions[k], induction[k], warehouse.episode_outcome(outcome, k)
+            ))
+        state = outcome.next_state
+    for records in traced.values():
+        for record in records:
+            trace_sink(record)
     metrics = warehouse.batch_metrics(state)
     groups = tuple(
         GroupReport(group=g + 1, episodes=tuple(metrics[g * trials : (g + 1) * trials]))

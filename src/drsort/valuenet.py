@@ -90,7 +90,10 @@ def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarr
         grads_w[layer] = h_in.T @ grad
         grads_b[layer] = grad.sum(axis=0)
         if layer > 0:
-            grad = grad @ params.weights[layer].T
+            w = params.weights[layer]
+            # with one output, grad @ w.T is an outer product: each entry is
+            # one multiply, so broadcasting is bit-equal and skips BLAS
+            grad = grad * w[:, 0] if w.shape[1] == 1 else grad @ w.T
     return grads_w, grads_b
 
 
@@ -170,12 +173,17 @@ def default_q_dims(a_max: int, hidden: tuple[int, int] = (64, 64)) -> list[int]:
     return [q_input_dim(a_max), *hidden, 1]
 
 
-def q_inputs(observations: np.ndarray, actions: np.ndarray, a_max: int) -> np.ndarray:
-    """Stack (N, OBS_DIM) observations with one-hot actions into (N, in_dim)."""
+def q_inputs(
+    observations: np.ndarray, actions: np.ndarray, a_max: int, dtype=np.float64
+) -> np.ndarray:
+    """Stack (N, OBS_DIM) observations with one-hot actions into (N, in_dim) rows of `dtype`.
+
+    Pass the params' dtype, so the forward pass needs no cast.
+    """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     actions = np.asarray(actions, dtype=int)
     n = observations.shape[0]
-    rows = np.zeros((n, observations.shape[1] + a_max + 1))
+    rows = np.zeros((n, observations.shape[1] + a_max + 1), dtype=dtype)
     rows[:, : observations.shape[1]] = observations
     rows[np.arange(n), observations.shape[1] + actions] = 1.0
     return rows
@@ -183,10 +191,16 @@ def q_inputs(observations: np.ndarray, actions: np.ndarray, a_max: int) -> np.nd
 
 # Row cap of one forward pass in action_value_table: a lockstep batch of
 # episodes needs tens of thousands of rows, and evaluating them at once
-# would multiply the hidden activations' memory. A power of two, so every
-# block but the last is a whole multiple of the BLAS kernels' row unroll
-# (rows in a partial unroll may round differently).
+# would multiply the hidden activations' memory.
 FORWARD_BLOCK_ROWS = 2048
+
+# Every forward block is padded to a whole multiple of this many rows and
+# the padded outputs are discarded. BLAS kernels round rows in a partial
+# unroll differently from the same rows in a full one (with OpenBLAS 0.3.31
+# the last M mod 4 rows of an M-row product), so without the padding a
+# row's Q value would depend on its position and on the batch size N.
+# With it, a row's value depends only on the row.
+FORWARD_ROW_MULTIPLE = 4
 
 
 def action_value_table(params: MlpParams, observations: np.ndarray, a_max: int) -> np.ndarray:
@@ -194,21 +208,50 @@ def action_value_table(params: MlpParams, observations: np.ndarray, a_max: int) 
 
     Row r of the forward pass is agent r // (A_max+1) with action
     r % (A_max+1); the rows go through the network in blocks of at most
-    FORWARD_BLOCK_ROWS, so memory stays bounded for any batch size.
+    FORWARD_BLOCK_ROWS, so memory stays bounded for any batch size. Each
+    block is padded to a multiple of FORWARD_ROW_MULTIPLE rows (copies of
+    its last row), so every entry is bit-identical to the same
+    observation's entry in any other call.
     """
     width = a_max + 1
     flat = observations.reshape(-1, observations.shape[-1])
     n_rows = flat.shape[0] * width
     out = np.empty(n_rows, dtype=params.dtype)
     for start in range(0, n_rows, FORWARD_BLOCK_ROWS):
-        rows = np.arange(start, min(start + FORWARD_BLOCK_ROWS, n_rows))
-        inputs = q_inputs(flat[rows // width], rows % width, a_max)
-        out[start : start + len(rows)] = mlp_forward(params, inputs)[:, 0]
+        stop = min(start + FORWARD_BLOCK_ROWS, n_rows)
+        padded = stop + (start - stop) % FORWARD_ROW_MULTIPLE
+        rows = np.minimum(np.arange(start, padded), n_rows - 1)
+        inputs = q_inputs(flat[rows // width], rows % width, a_max, params.dtype)
+        out[start:stop] = mlp_forward(params, inputs)[: stop - start, 0]
     return out.reshape(observations.shape[:-1] + (width,))
 
 
 # The training bootstrap's name for the same forward, (B, N, OBS_DIM) -> (B, N, A_max+1).
 action_value_table_batch = action_value_table
+
+
+def _row_key_weights(width: int) -> np.ndarray:
+    # any fixed weights work: distinct_rows checks every merge bitwise
+    return np.sin(np.arange(1.0, width + 1.0))
+
+
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse) of a 2-D array with rows[inverse] bitwise equal to x.
+
+    Rows are grouped by a 1-D projection key, which is far cheaper than
+    np.unique(axis=0). The key is summed column by column, so equal rows
+    get equal keys wherever they sit (a BLAS product would not promise
+    that). A key collision between rows that differ in any bit is caught
+    by a bitwise check, and then nothing is merged: the result is
+    (x, arange(len(x))).
+    """
+    key = sum(x[:, j] * w for j, w in enumerate(_row_key_weights(x.shape[1])))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = x[first]
+    bits = np.dtype(f"u{x.dtype.itemsize}")
+    if np.array_equal(rows[inverse].view(bits), x.view(bits)):
+        return rows, inverse
+    return x, np.arange(len(x))
 
 
 def greedy_actions(
@@ -217,9 +260,25 @@ def greedy_actions(
     """Budgeted argmax joint action(s) of the value decomposition.
 
     (N, OBS_DIM) observations give one (N,) action; (K, N, OBS_DIM) give (K, N).
+
+    A batch is deduplicated twice. The shared Q' makes an agent's table
+    row a function of its observation row alone, so the forward runs once
+    per distinct observation row; and episodes whose agents all map to the
+    same distinct rows have the same table stack, so the budget argmax runs
+    once per distinct stack. Both merges are exact (see distinct_rows and
+    action_value_table), so every action equals a per-episode call's. A
+    single episode is not deduplicated: feature 0 is the agent index, so
+    its N rows are always distinct.
     """
-    table = action_value_table(params, observations, a_max)
-    return budget.solve_budget_argmax(table, budget_limit)
+    if observations.ndim == 2:
+        table = action_value_table(params, observations, a_max)
+        return budget.solve_budget_argmax(table, budget_limit)
+    n_batch, n_agents, obs_dim = observations.shape
+    rows, row_of = distinct_rows(observations.reshape(-1, obs_dim))
+    tables = action_value_table(params, rows, a_max)
+    stacks, stack_of = distinct_rows(row_of.reshape(n_batch, n_agents))
+    actions = budget.solve_budget_argmax(tables[stacks], budget_limit)
+    return actions[stack_of]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,23 @@ def step(
     )
 
 
+def episode_outcome(outcome: StepOutcome, k: int) -> StepOutcome:
+    """Episode k's slice of a batched step: what a single-episode step returns."""
+    state = outcome.next_state
+    return StepOutcome(
+        rewards=outcome.rewards[k],
+        sorted=outcome.sorted[k],
+        recirculated=outcome.recirculated[k],
+        next_state=WarehouseState(
+            t=state.t,
+            chutes_assigned=state.chutes_assigned[k],
+            recirc_backlog=state.recirc_backlog[k],
+            cum_recirc=int(state.cum_recirc[k]),
+            cum_sorted=int(state.cum_sorted[k]),
+        ),
+    )
+
+
 def observe(state: WarehouseState, agent_index: int, config: EnvConfig) -> np.ndarray:
     """Local observation of agent_index (1-based): its row of observe_all."""
     if not 1 <= agent_index <= config.n_destinations:

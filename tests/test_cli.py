@@ -59,3 +59,18 @@ def test_train_cb_train_and_eval_chain(capsys, tmp_path):
     doc = json.loads((tmp_path / "eval-policy-cb-s1.json").read_text(encoding="utf-8"))
     assert [g["group"] for g in doc["per_group"]] == list(range(1, 10))
     assert (tmp_path / "cb_s1.csv").read_text(encoding="utf-8").startswith("episode,loss\n")
+
+
+def test_eval_trace_holds_the_evaluated_episodes(capsys, tmp_path):
+    assert run(capsys, "train", "--mode", "random", "--episodes", 2, "--seed", 4,
+               "--out", tmp_path)[0] == cli.EXIT_OK
+    assert run(capsys, "eval", "--checkpoint", tmp_path / "policy-random-s4.json",
+               "--trials", 2, "--seed", 4, "--out", tmp_path, "--trace")[0] == cli.EXIT_OK
+    doc = json.loads((tmp_path / "eval-policy-random-s4.json").read_text(encoding="utf-8"))
+    lines = (tmp_path / "trajectory_eval-policy-random-s4.jsonl").read_text(encoding="utf-8")
+    records = [json.loads(line) for line in lines.splitlines()]
+    steps = len(records) // len(doc["per_group"])
+    assert steps == 10
+    for g, group in enumerate(doc["per_group"]):
+        sorted_total = sum(sum(r["sorted"]) for r in records[g * steps : (g + 1) * steps])
+        assert sorted_total == group["episode_throughputs"][0]

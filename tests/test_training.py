@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drsort import budget, config, experiment, training, warehouse
+from drsort import budget, config, experiment, training, valuenet, warehouse
 from drsort.induction import GroupSet, MultinomialSpec
 from drsort.seeding import stream
 from drsort.valuenet import action_value_table, default_q_dims, init_mlp, params_digest
@@ -89,6 +89,40 @@ class TestEvaluatePolicy:
         train = dataclasses.replace(train, episodes=3, batch_size=8)
         params = training.train_drmarl(train, env, group_set, seed=5).params
         assert_matches_reference(params, env, group_set, 2, seed=15)
+
+    @pytest.mark.parametrize("formulation", ["appendix-b", "main"])
+    def test_trace_holds_the_evaluated_trial_0_episodes(self, formulation):
+        env, group_set, _, _ = config.appendix_b_defaults()
+        if formulation == "main":
+            env = warehouse.main_formulation_config()
+        params = random_q_params(env, 6)
+        records = []
+        report = training.evaluate_policy(
+            params, env, group_set, 2, seed=16, trace_sink=records.append
+        )
+        steps = env.episode_steps
+        assert len(records) == group_set.size * steps
+        for g, group in enumerate(report.per_group):
+            episode = records[g * steps : (g + 1) * steps]
+            assert [r["t"] for r in episode] == list(range(steps))
+            assert sum(sum(r["sorted"]) for r in episode) == group.episodes[0].throughput
+            assert sum(sum(r["recirculated"]) for r in episode) == group.episodes[0].recirc_amount
+            # the same records as a one-at-a-time rollout of that episode
+            oracle = []
+            training.rollout(
+                lambda state: valuenet.greedy_actions(
+                    params, warehouse.observe_all(state, env), env.action_max, env.n_chutes
+                ),
+                env, group_set, g, stream(16, "eval", g, 0), trace_sink=oracle.append,
+            )
+            assert episode == oracle
+
+    def test_trace_does_not_change_the_report(self):
+        env, group_set, _, _ = config.appendix_b_defaults()
+        params = random_q_params(env, 7)
+        plain = training.evaluate_policy(params, env, group_set, 2, seed=17)
+        traced = training.evaluate_policy(params, env, group_set, 2, seed=17, trace_sink=len)
+        assert [g.episodes for g in traced.per_group] == [g.episodes for g in plain.per_group]
 
     def test_rejects_zero_trials(self):
         env, group_set, _, _ = config.appendix_b_defaults()

@@ -45,6 +45,13 @@ def vdn_joint_q(params, observations, actions, a_max):
     return total
 
 
+def restore_generator(state):
+    """A generator resumed from a saved `bit_generator.state`."""
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
 class TestMlpForward:
     def test_zero_net_outputs_zero(self):
         params = valuenet.init_mlp([3, 4, 2], stream(0, "z"))
@@ -133,6 +140,28 @@ class TestGradientStep:
         with pytest.raises(ValueError, match="optimizer"):
             valuenet.mlp_gradient_step(params, cache, np.ones_like(out), opt)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_output_layer_backprop_equals_the_matmul(self, dtype):
+        rng = stream(21, "outer")
+        params = valuenet.init_mlp([7, 64, 64, 1], rng, dtype=dtype)
+        out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(1280, 7)))
+        grad_out = rng.normal(size=out.shape).astype(dtype)
+        grads_w, _ = valuenet.mlp_backward(params, cache, grad_out)
+        # the last hidden layer's weight gradient, through the BLAS outer product
+        grad = (grad_out @ params.weights[2].T) * (cache[2] > 0.0)
+        assert np.array_equal(grads_w[1], cache[1].T @ grad)
+
+
+class TestQInputs:
+    def test_rows_are_built_in_the_requested_dtype(self):
+        rng = stream(22, "rows")
+        obs = rng.uniform(size=(6, valuenet.OBS_DIM))
+        actions = rng.integers(0, 4, size=6)
+        wide = valuenet.q_inputs(obs, actions, 3)
+        narrow = valuenet.q_inputs(obs, actions, 3, np.float32)
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        assert np.array_equal(narrow, wide.astype(np.float32))
+
 
 class TestSharedLocalQ:
     def setup_method(self):
@@ -204,6 +233,90 @@ class TestSharedLocalQ:
     def test_action_onehot_bounds(self):
         with pytest.raises(ValueError):
             action_onehot(3, 2)
+
+
+class TestPositionIndependence:
+    """A table entry depends on its observation row only, not on N, K or its position."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_max", [1, 10])
+    @pytest.mark.parametrize("n_agents", [21, 22, 23])
+    def test_lockstep_equals_per_episode_calls(self, n_agents, a_max, dtype):
+        rng = stream(23, f"test/position/{n_agents}/{a_max}")
+        params = valuenet.init_mlp(valuenet.default_q_dims(a_max), rng, dtype=dtype)
+        obs = rng.uniform(size=(7, n_agents, valuenet.OBS_DIM))
+        budget_limit = n_agents // 2
+        tables = valuenet.action_value_table(params, obs, a_max)
+        actions = valuenet.greedy_actions(params, obs, a_max, budget_limit)
+        for k in range(len(obs)):
+            assert np.array_equal(tables[k], valuenet.action_value_table(params, obs[k], a_max))
+            assert np.array_equal(
+                actions[k], valuenet.greedy_actions(params, obs[k], a_max, budget_limit)
+            )
+
+
+def repeated_observations(rng, n_batch, n_agents):
+    """Agent-indexed observations whose other features take three levels: many repeated rows."""
+    obs = np.empty((n_batch, n_agents, valuenet.OBS_DIM))
+    obs[..., 0] = np.arange(n_agents) / (n_agents - 1)
+    obs[..., 1:] = rng.integers(0, 3, size=(n_batch, n_agents, valuenet.OBS_DIM - 1)) / 2
+    # every third episode repeats its predecessor, so whole table stacks repeat too
+    obs[2::3] = obs[1::3][: len(obs[2::3])]
+    return obs
+
+
+class TestDedupe:
+    def test_distinct_rows_rebuild_the_input_bitwise(self):
+        x = repeated_observations(stream(24, "rows"), 30, 6).reshape(-1, valuenet.OBS_DIM)
+        rows, inverse = valuenet.distinct_rows(x)
+        assert len(rows) == len(np.unique(x, axis=0)) < len(x)
+        assert np.array_equal(rows[inverse].view(np.uint64), x.view(np.uint64))
+
+    def test_rows_that_differ_only_in_the_sign_of_zero_stay_apart(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        rows, inverse = valuenet.distinct_rows(x)
+        assert np.array_equal(rows[inverse].view(np.uint64), x.view(np.uint64))
+
+    def test_a_key_collision_merges_nothing(self, monkeypatch):
+        monkeypatch.setattr(valuenet, "_row_key_weights", lambda width: np.zeros(width))
+        x = np.array([[0.25, 1.0], [0.5, 1.0], [0.25, 1.0]])
+        rows, inverse = valuenet.distinct_rows(x)
+        assert rows is x and np.array_equal(inverse, np.arange(3))
+
+    @pytest.mark.parametrize("collide", [False, True])
+    @pytest.mark.parametrize("a_max", [1, 10])
+    def test_greedy_actions_equal_the_undeduplicated_solve(self, monkeypatch, a_max, collide):
+        rng = stream(25, f"test/dedupe/{a_max}")
+        params = valuenet.init_mlp(valuenet.default_q_dims(a_max), rng, dtype=np.float32)
+        obs = repeated_observations(rng, 45, 21)
+        budget_limit = 10
+        expected = budget.solve_budget_argmax(
+            valuenet.action_value_table(params, obs, a_max), budget_limit
+        )
+        if collide:
+            monkeypatch.setattr(valuenet, "_row_key_weights", lambda width: np.zeros(width))
+        forward_rows, solved_stacks = [], []
+
+        def table_spy(params, observations, a_max):
+            forward_rows.append(len(observations))
+            return action_value_table(params, observations, a_max)
+
+        def solve_spy(tables, budget_limit):
+            solved_stacks.append(len(tables))
+            return solve_budget_argmax(tables, budget_limit)
+
+        action_value_table = valuenet.action_value_table
+        solve_budget_argmax = budget.solve_budget_argmax
+        monkeypatch.setattr(valuenet, "action_value_table", table_spy)
+        monkeypatch.setattr(budget, "solve_budget_argmax", solve_spy)
+        actions = valuenet.greedy_actions(params, obs, a_max, budget_limit)
+        assert np.array_equal(actions, expected)
+        if collide:
+            assert forward_rows == [45 * 21] and solved_stacks == [45]
+        else:
+            assert forward_rows == [len(np.unique(obs.reshape(-1, valuenet.OBS_DIM), axis=0))]
+            assert solved_stacks == [len(np.unique(obs.reshape(45, -1), axis=0))]
+            assert forward_rows[0] < 45 * 21 and solved_stacks[0] < 45
 
 
 def transition(next_observations, *, reward=0.0, terminal=False):
@@ -372,8 +485,6 @@ class TestCheckpoint:
         for m, m2 in zip(opt.m_w, opt2.m_w):
             assert np.array_equal(m, m2)
         assert loaded["config_hash"] == "abc123"
-        from drsort.seeding import restore_generator
-
         resumed = restore_generator(loaded["rng_state"])
         assert resumed.integers(1 << 30) == rng.integers(1 << 30)
 

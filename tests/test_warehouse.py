@@ -285,6 +285,31 @@ class TestBatchedEpisodes:
         assert warehouse.batch_metrics(singles[0]) == [warehouse.episode_metrics(outcomes[0], config)]
         assert type(singles[0].cum_recirc) is int and type(singles[0].cum_sorted) is int
 
+    def test_episode_outcome_is_the_single_episode_step(self):
+        config = small_config(n_destinations=5, n_chutes=3, step_volume=30, action_max=2)
+        rng = stream(15, "slice")
+        k = 3
+        batch = warehouse.reset(config, batch=k)
+        singles = [warehouse.reset(config) for _ in range(k)]
+        for _ in range(config.episode_steps):
+            actions = np.zeros((k, 5), dtype=int)
+            for row in actions:
+                row[rng.choice(5, size=2, replace=False)] = [1, 2]
+            inductions = rng.multinomial(30, np.full(5, 0.2), size=k)
+            out = warehouse.step(batch, actions, inductions, config)
+            for i in range(k):
+                single = warehouse.step(singles[i], actions[i], inductions[i], config)
+                sliced = warehouse.episode_outcome(out, i)
+                for name in ("rewards", "sorted", "recirculated"):
+                    assert np.array_equal(getattr(sliced, name), getattr(single, name)), name
+                assert sliced.next_state == single.next_state
+                assert type(sliced.next_state.cum_sorted) is int
+                assert warehouse.trace_record(0, actions[i], inductions[i], sliced) == (
+                    warehouse.trace_record(0, actions[i], inductions[i], single)
+                )
+                singles[i] = single.next_state
+            batch = out.next_state
+
     def test_batched_step_checks_each_row(self):
         config = small_config()
         state = warehouse.reset(config, batch=2)
