@@ -202,19 +202,23 @@ class CbTrainResult:
 def train_cb(
     env_config: warehouse.EnvConfig,
     group_set: GroupSet,
-    explore_policy,
     cb_config: CbConfig,
     seed: int,
+    q_params: MlpParams | None = None,
 ) -> CbTrainResult:
     """Train the worst-case reward predictor.
 
-    explore_policy: callable state -> joint action (the fixed MARL or
-    random exploration policy). The executed induction group is chosen
+    Actions come from the exploration policy named by `cb_config.explore`
+    (make_exploration_policy); its "checkpoint" and "mixed" kinds need
+    q_params, the trained MARL policy. The executed induction group is chosen
     epsilon-greedily between a uniform draw and the current argmin head.
     """
     if group_set.size < 1:
         raise ValueError("empty group set")
     t_start = time.perf_counter()
+    explore_policy = make_exploration_policy(
+        cb_config.explore, env_config, stream(seed, "cb/explore-policy"), q_params=q_params
+    )
     m = group_set.size
     a_max = env_config.action_max
     init_rng = stream(seed, "cb/init")

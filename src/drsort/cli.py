@@ -1,6 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: parses arguments and maps errors to exit codes.
 
-Subcommands: train, cb-train, eval, verify, report, experiment.
+Subcommands: train, cb-train, eval, verify, report, experiment. What each
+one trains, evaluates and writes is done by `experiment`, `training` and
+`verify`, the same functions the experiment runner calls.
 Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime failure.
 """
 
@@ -13,9 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import bandit, experiment, training, valuenet, verify
+from . import experiment, training, valuenet, verify
 from .config import ConfigError, appendix_b_defaults, load_config
-from .seeding import stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,12 +126,9 @@ def _cmd_train(args) -> int:
     tag = f"{args.mode}" + (f"-g{args.group}" if args.group else "") + f"-s{args.seed}"
     experiment.write_trace_csv(args.out / f"trace_train-{tag}.csv", result.trace)
     checkpoint = args.out / f"policy-{tag}.json"
-    valuenet.save_checkpoint(
-        checkpoint,
-        result.params,
-        kind="vdn",
-        config_digest=valuenet.config_hash(dataclasses.asdict(train_cfg)),
-        meta={"mode": args.mode, "group": args.group, "seed": args.seed},
+    experiment.save_policy(
+        checkpoint, result.params, train_cfg,
+        {"mode": args.mode, "group": args.group, "seed": args.seed},
     )
     print(f"trained {args.mode} policy over {train_cfg.episodes} episodes -> {checkpoint}")
     return EXIT_OK
@@ -149,22 +147,10 @@ def _cmd_cb_train(args) -> int:
             f"{cb_cfg.explore!r} exploration needs a trained policy checkpoint "
             "(run `drsort train` first, or set cb.explore to \"random\" in --config)",
         )
-    policy_rng = stream(args.seed, "cb/explore-policy")
-    explore = bandit.make_exploration_policy(cb_cfg.explore, env, policy_rng, q_params=q_params)
-    result = bandit.train_cb(env, group_set, explore, cb_cfg, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     checkpoint = args.out / f"cb-s{args.seed}.json"
-    valuenet.save_checkpoint(
-        checkpoint,
-        result.params,
-        kind="cb",
-        config_digest=valuenet.config_hash(dataclasses.asdict(cb_cfg)),
-        meta={"seed": args.seed},
-    )
-    experiment.write_csv(
-        args.out / f"cb_s{args.seed}.csv",
-        ("episode", "loss"),
-        list(enumerate(result.episode_losses, start=1)),
+    result = experiment.train_predictor(
+        env, group_set, cb_cfg, args.seed, q_params, checkpoint, args.out / f"cb_s{args.seed}.csv"
     )
     first = result.episode_losses[0] if result.episode_losses else float("nan")
     last = result.episode_losses[-1] if result.episode_losses else float("nan")

@@ -2,8 +2,8 @@
 
 A config file declares the environment, the group set, the training and
 predictor hyperparameters, the list of policy runs, and the evaluation
-protocol. Every seed is explicit. Validation errors name the offending
-path (e.g. "runs[2].mode").
+protocol. Every seed is explicit, and unknown keys are rejected.
+Validation errors name the offending path (e.g. "runs[2].mode").
 """
 
 from __future__ import annotations
@@ -61,14 +61,18 @@ def _take(doc: dict, key: str, path: str, kind, default=None, required: bool = F
     return value
 
 
+def _reject_unknown(doc: dict, known, path: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+
+
 def _dataclass_overrides(cls, base, doc: dict, path: str):
     if not doc:
         return base
-    valid = {f.name for f in dataclasses.fields(cls)}
+    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, path)
     updates = {}
     for key, value in doc.items():
-        if key not in valid:
-            raise ConfigError(f"{path}.{key}", "unknown field")
         if isinstance(value, list):
             value = tuple(value)
         updates[key] = value
@@ -97,6 +101,9 @@ PRESETS = {"appendix-b": appendix_b_defaults}
 
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
 
+_TOP_LEVEL_KEYS = ("preset", "master_seed", "env", "train", "cb", "groups", "evaluation",
+                   "output_dir", "runs")
+
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
@@ -105,6 +112,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("$", "top-level value must be an object")
+    _reject_unknown(doc, _TOP_LEVEL_KEYS, "$")
 
     preset = _take(doc, "preset", "$", str, default="appendix-b")
     if preset not in PRESETS:
@@ -122,6 +130,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     master_seed = _take(doc, "master_seed", "$", int, required=True)
     evaluation = _take(doc, "evaluation", "$", dict, {})
+    _reject_unknown(evaluation, ("trials", "seed"), "$.evaluation")
     eval_trials = _take(evaluation, "trials", "$.evaluation", int, default=20)
     eval_seed = _take(evaluation, "seed", "$.evaluation", int, required=True)
     output_dir = _take(doc, "output_dir", "$", str, default="out")
@@ -132,6 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
         path = f"$.runs[{idx}]"
         if not isinstance(entry, dict):
             raise ConfigError(path, "run must be an object")
+        _reject_unknown(entry, [f.name for f in dataclasses.fields(RunSpec)], path)
         name = _take(entry, "name", path, str, required=True)
         mode = _take(entry, "mode", path, str, required=True)
         episodes = _take(entry, "episodes", path, int, required=True)

@@ -1,12 +1,13 @@
 """Experiment orchestration: train the policy matrix, evaluate, report.
 
-Outputs under the configured directory:
-  metrics.csv            one aggregated row per policy (Table-1 shape);
-                         byte-identical across re-runs with the same config
-  trace_<run>-s<seed>.csv  per-episode training traces
-  cb_<seed>.csv          predictor training-loss curves
-  checkpoints/*.json     policy and predictor parameters
-  report.json            full per-run, per-group detail plus errors
+Outputs under the configured directory, each with one writer that the CLI
+shares:
+  metrics.csv            write_metrics_csv: one row per policy (Table-1
+                         shape); byte-identical across re-runs of a config
+  trace_<run>-s<seed>.csv  write_trace_csv: one training.TraceRow per episode
+  cb_s<seed>.csv         train_predictor: predictor training-loss curves
+  checkpoints/*.json     save_policy (policies), train_predictor (predictors)
+  report.json            ExperimentRunner.run: per-run, per-group detail, errors
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import dataclasses
 import json
 import time
 import traceback
+import typing
 from pathlib import Path
 
-from . import bandit, training, valuenet
+from . import bandit, training, valuenet, warehouse
 from .config import ExperimentConfig, RunSpec, config_to_doc, parse_config
-from .seeding import stream
+from .induction import GroupSet
 
-TRACE_COLUMNS = (
-    "episode", "mode", "mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s", "td_loss",
-)
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(training.TraceRow))
+_TRACE_TYPES = typing.get_type_hints(training.TraceRow)
 METRIC_COLUMNS = (
     "policy",
     "recirc_rate_mean",
@@ -43,22 +44,51 @@ def write_csv(path: Path, columns, rows) -> None:
 
 
 def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
-    rows = [
-        (r.episode, r.mode, r.mean_return, r.recirc_rate, r.epsilon, r.wall_clock_s, r.cpu_s,
-         r.td_loss)
-        for r in trace
-    ]
-    write_csv(path, TRACE_COLUMNS, rows)
+    write_csv(path, TRACE_COLUMNS, [dataclasses.astuple(row) for row in trace])
 
 
 def read_trace_csv(path: Path) -> list[dict]:
+    """The rows of a trace CSV, each value converted to its TraceRow field's type."""
     with open(path, newline="", encoding="utf-8") as fh:
-        out = list(csv.DictReader(fh))
-    for record in out:
-        for key in ("mean_return", "recirc_rate", "epsilon", "wall_clock_s", "cpu_s", "td_loss"):
-            record[key] = float(record[key])
-        record["episode"] = int(record["episode"])
-    return out
+        return [
+            {key: _TRACE_TYPES[key](value) for key, value in record.items()}
+            for record in csv.DictReader(fh)
+        ]
+
+
+def save_policy(
+    path: Path, params: valuenet.MlpParams, train_config: training.TrainConfig, meta: dict
+) -> None:
+    """The policy checkpoint, tagged with the hash of its training config."""
+    valuenet.save_checkpoint(
+        path,
+        params,
+        kind="vdn",
+        config_digest=valuenet.config_hash(dataclasses.asdict(train_config)),
+        meta=meta,
+    )
+
+
+def train_predictor(
+    env_config: warehouse.EnvConfig,
+    group_set: GroupSet,
+    cb_config: bandit.CbConfig,
+    seed: int,
+    q_params: valuenet.MlpParams | None,
+    checkpoint_path: Path,
+    losses_path: Path,
+) -> bandit.CbTrainResult:
+    """Train the worst-case predictor; write its checkpoint and its episode,loss CSV."""
+    result = bandit.train_cb(env_config, group_set, cb_config, seed, q_params=q_params)
+    valuenet.save_checkpoint(
+        checkpoint_path,
+        result.params,
+        kind="cb",
+        config_digest=valuenet.config_hash(dataclasses.asdict(cb_config)),
+        meta={"seed": seed, "wall_clock_s": result.wall_clock_s},
+    )
+    write_csv(losses_path, ("episode", "loss"), enumerate(result.episode_losses, start=1))
+    return result
 
 
 def evaluation_to_doc(report: training.EvaluationReport) -> dict:
@@ -92,29 +122,14 @@ class ExperimentRunner:
         self.errors: list[dict] = []
 
     def _ensure_cb(self, seed: int) -> valuenet.MlpParams:
-        if seed in self._cb_cache:
-            return self._cb_cache[seed]
-        cfg = self.config
-        policy_rng = stream(seed, "cb/explore-policy")
-        explore = bandit.make_exploration_policy(
-            cfg.cb.explore, cfg.env, policy_rng, q_params=self._marl_anchor.get(seed)
-        )
-        result = bandit.train_cb(cfg.env, cfg.group_set, explore, cfg.cb, seed)
-        self._cb_cache[seed] = result.params
-        path = self.checkpoint_dir / f"cb-s{seed}.json"
-        valuenet.save_checkpoint(
-            path,
-            result.params,
-            kind="cb",
-            config_digest=valuenet.config_hash(dataclasses.asdict(cfg.cb)),
-            meta={"seed": seed, "wall_clock_s": result.wall_clock_s},
-        )
-        write_csv(
-            self.out / f"cb_s{seed}.csv",
-            ("episode", "loss"),
-            list(enumerate(result.episode_losses, start=1)),
-        )
-        return result.params
+        if seed not in self._cb_cache:
+            cfg = self.config
+            result = train_predictor(
+                cfg.env, cfg.group_set, cfg.cb, seed, self._marl_anchor.get(seed),
+                self.checkpoint_dir / f"cb-s{seed}.json", self.out / f"cb_s{seed}.csv",
+            )
+            self._cb_cache[seed] = result.params
+        return self._cb_cache[seed]
 
     def _train_one(self, run: RunSpec, seed: int) -> dict:
         cfg = self.config
@@ -138,13 +153,8 @@ class ExperimentRunner:
         trace_path = self.out / f"trace_{tag}.csv"
         write_trace_csv(trace_path, result.trace)
         checkpoint_path = self.checkpoint_dir / f"{tag}.json"
-        valuenet.save_checkpoint(
-            checkpoint_path,
-            result.params,
-            kind="vdn",
-            config_digest=valuenet.config_hash(dataclasses.asdict(train_cfg)),
-            meta={"run": run.name, "seed": seed, "mode": run.mode, "group": run.group},
-        )
+        save_policy(checkpoint_path, result.params, train_cfg,
+                    {"run": run.name, "seed": seed, "mode": run.mode, "group": run.group})
         return {
             "name": run.name,
             "seed": seed,
@@ -191,7 +201,7 @@ class ExperimentRunner:
         return report
 
 
-def metrics_rows(config: ExperimentConfig, run_docs: list[dict]) -> list[tuple]:
+def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]) -> None:
     """One Table-1-shaped row per policy, pooled over seeds and groups."""
     rows = []
     for run in config.runs:
@@ -207,20 +217,8 @@ def metrics_rows(config: ExperimentConfig, run_docs: list[dict]) -> list[tuple]:
         n = len(rates)
         mean_rate = sum(rates) / n
         var = sum((r - mean_rate) ** 2 for r in rates) / n
-        rows.append(
-            (
-                run.name,
-                mean_rate,
-                var**0.5,
-                sum(throughputs) / n,
-                sum(amounts) / n,
-            )
-        )
-    return rows
-
-
-def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]) -> None:
-    write_csv(path, METRIC_COLUMNS, metrics_rows(config, run_docs))
+        rows.append((run.name, mean_rate, var**0.5, sum(throughputs) / n, sum(amounts) / n))
+    write_csv(path, METRIC_COLUMNS, rows)
 
 
 def run_experiment(config: ExperimentConfig, output_dir: Path | None = None) -> dict:

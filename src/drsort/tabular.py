@@ -6,8 +6,9 @@ its minimum over groups:
 
     T(Q)(s,a) = min_g R_g[s,a] + gamma * sum_s' P[s,a,s'] * max_a' Q[s',a'].
 
-When the groups also carry their own transition kernels P_g, the
-approximate operator takes a single joint minimum over groups of
+When the groups also carry their own transition kernels P_g, T takes the
+continuation term's minimum over groups separately. The approximate
+operator takes a single joint minimum over groups of
 reward-plus-continuation, which upper-bounds the robust backup:
 
     U(Q)(s,a) = min_g { R_g[s,a] + gamma * sum_s' P_g[s,a,s'] * max_a' Q[s',a'] }.
@@ -106,14 +107,16 @@ def simplex_min_oracle(
 
 
 def dr_bellman_apply(mdp: TabularMdp, q_table: np.ndarray) -> np.ndarray:
-    """One application of the robust backup T (shared transitions only)."""
-    if mdp.per_group_transitions:
-        raise ValueError(
-            "per-group transitions supplied; use approx_bellman_apply for the joint-min operator"
-        )
+    """One application of the robust backup T.
+
+    With per-group transitions the reward and continuation terms take
+    separate minima over groups; U dominates T elementwise.
+    """
     q_table = np.asarray(q_table, dtype=float)
     greedy_values = q_table.max(axis=1)
     continuation = mdp.gamma * (mdp.transitions @ greedy_values)
+    if mdp.per_group_transitions:
+        continuation = continuation.min(axis=0)
     return mdp.rewards.min(axis=0) + continuation
 
 
@@ -125,17 +128,3 @@ def approx_bellman_apply(mdp: TabularMdp, q_table: np.ndarray) -> np.ndarray:
     continuation = mdp.gamma * (mdp.transitions @ greedy_values)
     return (mdp.rewards + continuation).min(axis=0)
 
-
-def lower_bound_apply(mdp: TabularMdp, q_table: np.ndarray) -> np.ndarray:
-    """Backup taking separate minima over reward and continuation terms.
-
-    This is the robust operator for per-group transition families; U
-    dominates it elementwise.
-    """
-    q_table = np.asarray(q_table, dtype=float)
-    greedy_values = q_table.max(axis=1)
-    if mdp.per_group_transitions:
-        continuation = (mdp.gamma * (mdp.transitions @ greedy_values)).min(axis=0)
-    else:
-        continuation = mdp.gamma * (mdp.transitions @ greedy_values)
-    return mdp.rewards.min(axis=0) + continuation

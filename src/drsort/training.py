@@ -266,7 +266,6 @@ def train_drmarl(
             if mode == "fixed"
             else int(group_rng.integers(m))
         )
-        outcomes: list[warehouse.StepOutcome] = []
         returns = 0.0
         losses: list[float] = []
         epsilon = train_config.epsilon_start
@@ -299,7 +298,6 @@ def train_drmarl(
                 )
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
-            outcomes.append(outcome)
             if trace_sink is not None:
                 trace_sink(warehouse.trace_record(t, action, induction, outcome))
             raw_reward = float(outcome.rewards.sum())
@@ -331,7 +329,7 @@ def train_drmarl(
             state = next_state
             obs = next_obs
             step_count += 1
-        metrics = warehouse.episode_metrics(outcomes, env_config)
+        metrics = warehouse.episode_metrics(state)
         result.trace.append(
             TraceRow(
                 episode=episode,
@@ -392,16 +390,14 @@ def rollout(
 ) -> warehouse.EpisodeMetrics:
     """One episode under `policy` (state -> joint action) and one group."""
     state = warehouse.reset(env_config)
-    outcomes = []
     for t in range(env_config.episode_steps):
         action = policy(state)
         induction = group_set.sample(group_index, rng)
         outcome = warehouse.step(state, action, induction, env_config)
         if trace_sink is not None:
             trace_sink(warehouse.trace_record(t, action, induction, outcome))
-        outcomes.append(outcome)
         state = outcome.next_state
-    return warehouse.episode_metrics(outcomes, env_config)
+    return warehouse.episode_metrics(state)
 
 
 def evaluate_policy(
@@ -432,14 +428,16 @@ def evaluate_policy(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_start = time.perf_counter()
-    episodes = [(g, trial) for g in range(group_set.size) for trial in range(trials)]
-    rngs = [stream(seed, "eval", g, trial) for g, trial in episodes]
+    # (T, K, N): one draw of each episode's T inductions consumes its stream as T draws do
+    inductions = np.stack([
+        group_set.sample(np.full(env_config.episode_steps, g), stream(seed, "eval", g, trial))
+        for g in range(group_set.size) for trial in range(trials)
+    ], axis=1)
     traced = {g * trials: [] for g in range(group_set.size)} if trace_sink is not None else {}
-    state = warehouse.reset(env_config, batch=len(episodes))
-    for t in range(env_config.episode_steps):
+    state = warehouse.reset(env_config, batch=inductions.shape[1])
+    for t, induction in enumerate(inductions):
         obs = warehouse.observe_all(state, env_config)
         actions = greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
-        induction = np.stack([group_set.sample(g, rng) for (g, _), rng in zip(episodes, rngs)])
         outcome = warehouse.step(state, actions, induction, env_config)
         for k, records in traced.items():
             records.append(warehouse.trace_record(
@@ -449,7 +447,7 @@ def evaluate_policy(
     for records in traced.values():
         for record in records:
             trace_sink(record)
-    metrics = warehouse.batch_metrics(state)
+    metrics = warehouse.episode_metrics(state)
     groups = tuple(
         GroupReport(group=g + 1, episodes=tuple(metrics[g * trials : (g + 1) * trials]))
         for g in range(group_set.size)

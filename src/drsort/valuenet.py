@@ -349,56 +349,11 @@ def config_hash(payload) -> str:
     ).hexdigest()[:16]
 
 
-def _optimizer_to_doc(opt: Optimizer | None) -> dict | None:
-    if opt is None:
-        return None
-    return {
-        "kind": opt.kind,
-        "learning_rate": opt.learning_rate,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "eps": opt.eps,
-        "step_count": opt.step_count,
-        "m_w": [m.ravel().tolist() for m in opt.m_w],
-        "v_w": [v.ravel().tolist() for v in opt.v_w],
-        "m_b": [m.tolist() for m in opt.m_b],
-        "v_b": [v.tolist() for v in opt.v_b],
-    }
-
-
-def _optimizer_from_doc(doc: dict | None, params: MlpParams) -> Optimizer | None:
-    if doc is None:
-        return None
-    opt = Optimizer(
-        kind=doc["kind"],
-        learning_rate=doc["learning_rate"],
-        beta1=doc["beta1"],
-        beta2=doc["beta2"],
-        eps=doc["eps"],
-        step_count=doc["step_count"],
-    )
-    dtype = params.dtype
-    if doc["m_w"]:
-        opt.m_w = [
-            np.asarray(flat, dtype=dtype).reshape(w.shape)
-            for flat, w in zip(doc["m_w"], params.weights)
-        ]
-        opt.v_w = [
-            np.asarray(flat, dtype=dtype).reshape(w.shape)
-            for flat, w in zip(doc["v_w"], params.weights)
-        ]
-        opt.m_b = [np.asarray(v, dtype=dtype) for v in doc["m_b"]]
-        opt.v_b = [np.asarray(v, dtype=dtype) for v in doc["v_b"]]
-    return opt
-
-
 def save_checkpoint(
     path,
     params: MlpParams,
     *,
     kind: str,
-    optimizer: Optimizer | None = None,
-    rng_state: dict | None = None,
     config_digest: str = "",
     meta: dict | None = None,
 ) -> None:
@@ -410,8 +365,6 @@ def save_checkpoint(
         "dtype": np.dtype(params.dtype).name,
         "weights": [w.ravel().tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
-        "optimizer": _optimizer_to_doc(optimizer),
-        "rng_state": rng_state,
         "config_hash": config_digest,
         "meta": meta or {},
     }
@@ -420,7 +373,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {params, optimizer, rng_state, ...}."""
+    """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
@@ -432,12 +385,9 @@ def load_checkpoint(path) -> dict:
         for flat, d_in, d_out in zip(doc["weights"], dims[:-1], dims[1:])
     ]
     biases = [np.asarray(b, dtype=dtype) for b in doc["biases"]]
-    params = MlpParams(layer_dims=dims, weights=weights, biases=biases)
     return {
         "kind": doc["kind"],
-        "params": params,
-        "optimizer": _optimizer_from_doc(doc.get("optimizer"), params),
-        "rng_state": doc.get("rng_state"),
+        "params": MlpParams(layer_dims=dims, weights=weights, biases=biases),
         "config_hash": doc.get("config_hash", ""),
         "meta": doc.get("meta", {}),
     }

@@ -143,7 +143,7 @@ def check_upper_bound_dominance(seed: int = 0, instances: int = 200) -> CheckRes
         mdp = random_mdp(rng, per_group=True)
         q = rng.normal(0.0, 5.0, size=(mdp.n_states, mdp.n_actions))
         upper = tabular.approx_bellman_apply(mdp, q)
-        lower = tabular.lower_bound_apply(mdp, q)
+        lower = tabular.dr_bellman_apply(mdp, q)
         slack = float((upper - lower).min())
         min_slack = min(min_slack, slack)
         if slack < -1e-12:

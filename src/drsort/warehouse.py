@@ -211,25 +211,16 @@ def _metrics(total_sorted: int, total_recirc: int) -> EpisodeMetrics:
     )
 
 
-def episode_metrics(outcomes: list[StepOutcome], config: EnvConfig) -> EpisodeMetrics:
-    """Recirculation rate, throughput, and recirculation amount for one episode.
+def episode_metrics(state: WarehouseState) -> EpisodeMetrics | list[EpisodeMetrics]:
+    """Recirculation rate, throughput, and recirculation amount from the state's counters.
 
+    One EpisodeMetrics for an (N,) state, a list of them for a (K, N) batch.
     The rate denominator counts package-passes: induction plus carryover
     re-arrivals, so each recirculation event is counted once per pass.
     """
-    if not outcomes:
-        raise ValueError("episode_metrics requires at least one step outcome")
-    total_sorted = int(sum(int(o.sorted.sum()) for o in outcomes))
-    total_recirc = int(sum(int(o.recirculated.sum()) for o in outcomes))
-    return _metrics(total_sorted, total_recirc)
-
-
-def batch_metrics(state: WarehouseState) -> list[EpisodeMetrics]:
-    """episode_metrics of each episode of a batch, from the counters of its final state."""
-    return [
-        _metrics(int(s), int(r))
-        for s, r in zip(np.atleast_1d(state.cum_sorted), np.atleast_1d(state.cum_recirc))
-    ]
+    if np.ndim(state.cum_sorted) == 0:
+        return _metrics(int(state.cum_sorted), int(state.cum_recirc))
+    return [_metrics(int(s), int(r)) for s, r in zip(state.cum_sorted, state.cum_recirc)]
 
 
 def trace_record(t: int, action, induction, outcome: StepOutcome) -> dict:

@@ -10,8 +10,7 @@ from drsort.seeding import stream
 def short_cb_training(seed):
     env, group_set, _, cb = config.appendix_b_defaults()
     cb = dataclasses.replace(cb, episodes=3, batch_size=8, explore="random")
-    explore = bandit.make_exploration_policy("random", env, stream(seed, "cb/explore-policy"))
-    return bandit.train_cb(env, group_set, explore, cb, seed)
+    return bandit.train_cb(env, group_set, cb, seed)
 
 
 def random_context(env, rng):

@@ -59,6 +59,11 @@ def with_run(run, index=1):
          "$.runs[0].group", "[1, 9]"),
         (minimal_doc(train={"learning_rat": 0.1}), "$.train.learning_rat", "unknown field"),
         (minimal_doc(train={"n_probe": 0}), "$.train", "n_probe"),
+        (minimal_doc(outptu_dir="x"), "$.outptu_dir", "unknown field"),
+        (minimal_doc(evaluation={"trials": 2, "seed": 3, "trails": 5}),
+         "$.evaluation.trails", "unknown field"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seed": [1]}),
+         "$.runs[1].seed", "unknown field"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

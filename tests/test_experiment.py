@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from drsort import cli, config, experiment
+from drsort import cli, config, experiment, training, valuenet
 
 CENTER = {"name": "marl-center", "mode": "fixed", "group": config.CENTER_GROUP,
           "episodes": 2, "seeds": [1, 2]}
@@ -62,6 +63,33 @@ def test_report_subcommand_rebuilds_metrics_byte_for_byte(canonical, tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
     with open(tmp_path / "convergence.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.reader(fh))) == 1 + 5 * 2  # header, 5 jobs x 2 episodes
+
+
+def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(
+    canonical, tmp_path
+):
+    out, report = canonical
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(report["config"]), encoding="utf-8")
+    code = cli.main(["cb-train", "--config", str(cfg_path), "--seed", "1",
+                     "--policy-checkpoint", str(out / "checkpoints" / "marl-center-s1.json"),
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    ours = valuenet.load_checkpoint(tmp_path / "cb-s1.json")
+    runners = valuenet.load_checkpoint(out / "checkpoints" / "cb-s1.json")
+    assert valuenet.params_digest(ours["params"]) == valuenet.params_digest(runners["params"])
+    assert ours["config_hash"] == runners["config_hash"]
+    assert ours["meta"].keys() == runners["meta"].keys() == {"seed", "wall_clock_s"}
+    assert (tmp_path / "cb_s1.csv").read_bytes() == (out / "cb_s1.csv").read_bytes()
+
+
+def test_trace_csv_columns_are_the_trace_row_fields(canonical):
+    out, report = canonical
+    names = tuple(f.name for f in dataclasses.fields(training.TraceRow))
+    assert experiment.TRACE_COLUMNS == names
+    records = experiment.read_trace_csv(out / report["runs"][0]["trace"])
+    assert [tuple(record) for record in records] == [names, names]
+    assert [type(records[0][name]) for name in names] == [int, str] + [float] * 6
 
 
 def test_results_do_not_depend_on_run_order(canonical, tmp_path):

@@ -45,13 +45,6 @@ def vdn_joint_q(params, observations, actions, a_max):
     return total
 
 
-def restore_generator(state):
-    """A generator resumed from a saved `bit_generator.state`."""
-    bitgen = np.random.PCG64()
-    bitgen.state = state
-    return np.random.Generator(bitgen)
-
-
 class TestMlpForward:
     def test_zero_net_outputs_zero(self):
         params = valuenet.init_mlp([3, 4, 2], stream(0, "z"))
@@ -468,10 +461,7 @@ class TestCheckpoint:
         out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(4, 4)))
         valuenet.mlp_gradient_step(params, cache, np.ones_like(out), opt)
         path = tmp_path / "ckpt.json"
-        valuenet.save_checkpoint(
-            path, params, kind="vdn", optimizer=opt,
-            rng_state=rng.bit_generator.state, config_digest="abc123",
-        )
+        valuenet.save_checkpoint(path, params, kind="vdn", config_digest="abc123")
         loaded = valuenet.load_checkpoint(path)
         again = loaded["params"]
         assert again.layer_dims == params.layer_dims
@@ -480,13 +470,20 @@ class TestCheckpoint:
             assert np.array_equal(w, w2)
         for b, b2 in zip(params.biases, again.biases):
             assert np.array_equal(b, b2)
-        opt2 = loaded["optimizer"]
-        assert opt2.step_count == opt.step_count
-        for m, m2 in zip(opt.m_w, opt2.m_w):
-            assert np.array_equal(m, m2)
         assert loaded["config_hash"] == "abc123"
-        resumed = restore_generator(loaded["rng_state"])
-        assert resumed.integers(1 << 30) == rng.integers(1 << 30)
+
+    def test_version_1_file_with_optimizer_and_rng_state_keys_loads(self, tmp_path):
+        import json
+
+        params = valuenet.init_mlp([3, 2], stream(21, "ckpt"))
+        path = tmp_path / "old.json"
+        valuenet.save_checkpoint(path, params, kind="cb", meta={"seed": 4})
+        doc = json.loads(path.read_text())
+        doc.update(optimizer=None, rng_state=None)
+        path.write_text(json.dumps(doc))
+        loaded = valuenet.load_checkpoint(path)
+        assert valuenet.params_digest(loaded["params"]) == valuenet.params_digest(params)
+        assert (loaded["kind"], loaded["meta"]) == ("cb", {"seed": 4})
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json

@@ -194,48 +194,56 @@ class TestObserve:
             warehouse.observe(warehouse.reset(config), 4, config)
 
 
+def summed_metrics(outcomes):
+    """Oracle: episode metrics re-summed from every step's sorted and recirculated counts."""
+    total_sorted = int(sum(int(o.sorted.sum()) for o in outcomes))
+    total_recirc = int(sum(int(o.recirculated.sum()) for o in outcomes))
+    total = total_sorted + total_recirc
+    return warehouse.EpisodeMetrics(
+        recirc_rate=total_recirc / total if total > 0 else 0.0,
+        throughput=total_sorted,
+        recirc_amount=total_recirc,
+    )
+
+
 class TestEpisodeMetrics:
     def run_episode(self, config, policy_action, inductions):
+        """The episode's metrics from the final state, checked against the summed oracle."""
         state = warehouse.reset(config)
         outcomes = []
         for induction in inductions:
             out = warehouse.step(state, policy_action, induction, config)
             outcomes.append(out)
             state = out.next_state
-        return outcomes
+        metrics = warehouse.episode_metrics(state)
+        assert metrics == summed_metrics(outcomes)
+        return metrics
 
     def test_all_sorted(self):
         config = small_config(n_chutes=2)
-        outcomes = self.run_episode(
+        metrics = self.run_episode(
             config, np.array([1, 1, 0]), [np.array([8, 8, 0])] * 4
         )
-        metrics = warehouse.episode_metrics(outcomes, config)
         assert metrics.recirc_rate == 0.0
         assert metrics.throughput == 64
         assert metrics.recirc_amount == 0
 
     def test_nothing_sorted_rate_one(self):
         config = small_config(recirc_carryover=False)
-        outcomes = self.run_episode(
+        metrics = self.run_episode(
             config, np.zeros(3, dtype=int), [np.array([8, 4, 4])] * 4
         )
-        metrics = warehouse.episode_metrics(outcomes, config)
         assert metrics.recirc_rate == 1.0
         assert metrics.throughput == 0
-
-    def test_empty_episode_raises(self):
-        with pytest.raises(ValueError):
-            warehouse.episode_metrics([], small_config())
 
     def test_rate_matches_reported_table_arithmetic(self):
         # 12,000 inducted with 68 recirculated passes is a ~0.57% rate,
         # the scale reported for the robust policies
         config = warehouse.EnvConfig(n_destinations=2, n_chutes=1, episode_steps=1,
                                      step_volume=12_000, recirc_carryover=False)
-        outcomes = self.run_episode(
+        metrics = self.run_episode(
             config, np.array([1, 0]), [np.array([11_932, 68])]
         )
-        metrics = warehouse.episode_metrics(outcomes, config)
         assert metrics.recirc_rate == pytest.approx(68 / 12_000)
         assert 0.005 < metrics.recirc_rate < 0.006
         assert metrics.throughput == 11_932
@@ -244,10 +252,9 @@ class TestEpisodeMetrics:
     def test_pass_counting_with_carryover(self):
         # uncovered packages are counted once per pass through the system
         config = small_config(recirc_carryover=True)
-        outcomes = self.run_episode(
+        metrics = self.run_episode(
             config, np.zeros(3, dtype=int), [np.array([4, 0, 0]), np.array([4, 0, 0])]
         )
-        metrics = warehouse.episode_metrics(outcomes, config)
         # step 1: 4 recirc; step 2: 4 new + 4 backlog = 8 recirc
         assert metrics.recirc_amount == 12
         assert metrics.recirc_rate == 1.0
@@ -279,10 +286,8 @@ class TestBatchedEpisodes:
                 singles[i] = single.next_state
             batch = out.next_state
         assert batch.t == config.episode_steps
-        assert warehouse.batch_metrics(batch) == [
-            warehouse.episode_metrics(o, config) for o in outcomes
-        ]
-        assert warehouse.batch_metrics(singles[0]) == [warehouse.episode_metrics(outcomes[0], config)]
+        assert warehouse.episode_metrics(batch) == [summed_metrics(o) for o in outcomes]
+        assert warehouse.episode_metrics(singles[0]) == summed_metrics(outcomes[0])
         assert type(singles[0].cum_recirc) is int and type(singles[0].cum_sorted) is int
 
     def test_episode_outcome_is_the_single_episode_step(self):
