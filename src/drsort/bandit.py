@@ -4,10 +4,11 @@ The predictor regresses the expected single-step joint reward of each
 induction group onto the joint (state, action) context. One network with
 m output heads serves all groups, so the worst-group query is a single
 forward pass followed by an argmin. Training follows an epsilon-greedy
-group-selection loop: actions come from a fixed exploration policy, the
-executed group is uniform with probability epsilon and the current
-argmin otherwise, and only the executed group's head receives error
-signal.
+group-selection loop: actions come from a fixed exploration policy
+(explore_action), the executed group is uniform with probability epsilon
+and the current argmin otherwise, and only the executed group's head
+receives error signal. Like the Q-net's, the regression targets are joint
+rewards scaled by warehouse.reward_unit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import budget, warehouse
 from .induction import GroupSet
 from .seeding import stream
 from .valuenet import (
+    NET_DTYPE,
     MlpParams,
     Optimizer,
     ReplayBuffer,
@@ -30,6 +32,9 @@ from .valuenet import (
     mlp_forward_cached,
     mlp_gradient_step,
 )
+
+
+EXPLORE_KINDS = ("random", "mixed")
 
 
 @dataclass(frozen=True)
@@ -42,16 +47,18 @@ class CbConfig:
     batch_size: int = 64
     buffer_capacity: int = 50_000
     hidden: tuple[int, int] = (64, 64)
-    optimizer: str = "adam"
-    explore: str = "random"  # random | checkpoint | mixed
-    reward_scale: float = 1.0
-    dtype: str = "float64"
+    explore: str = "mixed"  # one of EXPLORE_KINDS
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon schedule must stay within [0, 1] and be nonincreasing")
-        if self.learning_rate <= 0 or self.episodes < 0:
-            raise ValueError("invalid learning rate or episode count")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name, least in (("episodes", 0), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.explore not in EXPLORE_KINDS:
+            raise ValueError(f"unknown explore kind {self.explore!r}; choose from {EXPLORE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -138,53 +145,27 @@ def cb_update(
 
 
 # ---------------------------------------------------------------------------
-# Exploration policies (Algorithm inputs)
+# Exploration policy (Algorithm input)
 # ---------------------------------------------------------------------------
 
 
-def random_table_policy(env_config: warehouse.EnvConfig, rng: np.random.Generator):
-    """Feasible actions from the budgeted argmax of a random value table."""
-
-    def policy(state: warehouse.WarehouseState) -> np.ndarray:
-        table = rng.standard_normal((env_config.n_destinations, env_config.action_max + 1))
-        return budget.solve_budget_argmax(table, env_config.n_chutes)
-
-    return policy
-
-
-def greedy_policy(q_params: MlpParams, env_config: warehouse.EnvConfig):
-    """Budgeted greedy actions from a trained joint Q decomposition."""
-
-    def policy(state: warehouse.WarehouseState) -> np.ndarray:
-        obs = warehouse.observe_all(state, env_config)
-        return greedy_actions(q_params, obs, env_config.action_max, env_config.n_chutes)
-
-    return policy
-
-
-def make_exploration_policy(
+def explore_action(
     kind: str,
+    observations: np.ndarray,
     env_config: warehouse.EnvConfig,
     rng: np.random.Generator,
     q_params: MlpParams | None = None,
-):
-    if kind == "random":
-        return random_table_policy(env_config, rng)
-    if kind in ("checkpoint", "mixed") and q_params is None:
-        raise ValueError(f"{kind} exploration requires q_params (a trained policy)")
-    if kind == "checkpoint":
-        return greedy_policy(q_params, env_config)
-    if kind == "mixed":
-        random_leg = random_table_policy(env_config, rng)
-        greedy_leg = greedy_policy(q_params, env_config)
+) -> np.ndarray:
+    """The exploration policy's joint action for one state's (N, OBS_DIM) observations.
 
-        def policy(state: warehouse.WarehouseState) -> np.ndarray:
-            if rng.random() < 0.5:
-                return random_leg(state)
-            return greedy_leg(state)
-
-        return policy
-    raise ValueError(f"unknown exploration policy kind: {kind!r}")
+    "random": the budgeted argmax of a random value table. "mixed": with
+    probability 1/2 that, otherwise the budgeted greedy action of q_params,
+    the trained MARL policy.
+    """
+    if kind == "mixed" and rng.random() >= 0.5:
+        return greedy_actions(q_params, observations, env_config.action_max, env_config.n_chutes)
+    table = rng.standard_normal((env_config.n_destinations, env_config.action_max + 1))
+    return budget.solve_budget_argmax(table, env_config.n_chutes)
 
 
 # ---------------------------------------------------------------------------
@@ -208,30 +189,26 @@ def train_cb(
 ) -> CbTrainResult:
     """Train the worst-case reward predictor.
 
-    Actions come from the exploration policy named by `cb_config.explore`
-    (make_exploration_policy); its "checkpoint" and "mixed" kinds need
-    q_params, the trained MARL policy. The executed induction group is chosen
-    epsilon-greedily between a uniform draw and the current argmin head.
+    Actions come from explore_action of kind `cb_config.explore`; "mixed"
+    needs q_params, the trained MARL policy. The executed induction group is
+    chosen epsilon-greedily between a uniform draw and the current argmin head.
     """
-    if group_set.size < 1:
-        raise ValueError("empty group set")
+    if cb_config.explore == "mixed" and q_params is None:
+        raise ValueError("mixed exploration requires q_params (a trained policy)")
     t_start = time.perf_counter()
-    explore_policy = make_exploration_policy(
-        cb_config.explore, env_config, stream(seed, "cb/explore-policy"), q_params=q_params
-    )
     m = group_set.size
     a_max = env_config.action_max
     init_rng = stream(seed, "cb/init")
     group_rng = stream(seed, "cb/groups")
     induction_rng = stream(seed, "cb/induction")
     replay_rng = stream(seed, "cb/replay")
+    explore_rng = stream(seed, "cb/explore-policy")
 
     params = init_mlp(
-        default_cb_dims(env_config.n_destinations, m, cb_config.hidden),
-        init_rng,
-        dtype=np.dtype(cb_config.dtype),
+        default_cb_dims(env_config.n_destinations, m, cb_config.hidden), init_rng, dtype=NET_DTYPE
     )
-    optimizer = Optimizer(kind=cb_config.optimizer, learning_rate=cb_config.learning_rate)
+    optimizer = Optimizer(learning_rate=cb_config.learning_rate)
+    scale = warehouse.reward_unit(env_config)
     buffer = ReplayBuffer(cb_config.buffer_capacity)
 
     total_steps = cb_config.episodes * env_config.episode_steps
@@ -242,7 +219,7 @@ def train_cb(
         losses: list[float] = []
         for _t in range(env_config.episode_steps):
             obs = warehouse.observe_all(state, env_config)
-            action = explore_policy(state)
+            action = explore_action(cb_config.explore, obs, env_config, explore_rng, q_params)
             eps = epsilon_at(
                 step_count,
                 total_steps,
@@ -253,7 +230,7 @@ def train_cb(
             group = choose_group(params, obs, action, a_max, m, eps, group_rng)
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
-            reward = float(outcome.rewards.sum()) * cb_config.reward_scale
+            reward = float(outcome.rewards.sum()) * scale
             buffer.push(
                 CbTransition(
                     context=cb_context(obs, action, a_max), group=group, observed_reward=reward

@@ -92,13 +92,21 @@ def _jsonl_sink(path: Path | None):
         yield lambda record: fh.write(json.dumps(record) + "\n")
 
 
+def _check_episodes(episodes: int | None) -> None:
+    if episodes is not None and episodes < 0:
+        raise ConfigError("--episodes", "must be >= 0")
+
+
 def _cmd_train(args) -> int:
     env, group_set, train_cfg, _ = _resolve_defaults(args.config)
-    if args.mode == "fixed":
-        if args.group is None:
-            raise ConfigError("--group", "fixed mode requires --group")
-        if not 1 <= args.group <= group_set.size:
-            raise ConfigError("--group", f"group must be in [1, {group_set.size}]")
+    _check_episodes(args.episodes)
+    if args.mode != "fixed":
+        if args.group is not None:
+            raise ConfigError("--group", f"{args.mode} mode takes no --group")
+    elif args.group is None:
+        raise ConfigError("--group", "fixed mode requires --group")
+    elif not 1 <= args.group <= group_set.size:
+        raise ConfigError("--group", f"group must be in [1, {group_set.size}]")
     cb_params = None
     if args.mode == "cb":
         if args.cb_checkpoint is None:
@@ -136,15 +144,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_cb_train(args) -> int:
     env, group_set, _, cb_cfg = _resolve_defaults(args.config)
+    _check_episodes(args.episodes)
     if args.episodes is not None:
         cb_cfg = dataclasses.replace(cb_cfg, episodes=args.episodes)
     q_params = None
     if args.policy_checkpoint is not None:
         q_params = valuenet.load_checkpoint(args.policy_checkpoint)["params"]
-    elif cb_cfg.explore in ("checkpoint", "mixed"):
+    elif cb_cfg.explore == "mixed":
         raise ConfigError(
             "--policy-checkpoint",
-            f"{cb_cfg.explore!r} exploration needs a trained policy checkpoint "
+            "'mixed' exploration needs a trained policy checkpoint "
             "(run `drsort train` first, or set cb.explore to \"random\" in --config)",
         )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -160,6 +169,8 @@ def _cmd_cb_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     env, group_set, _, _ = _resolve_defaults(args.config)
+    if args.trials < 1:
+        raise ConfigError("--trials", "must be >= 1")
     params = valuenet.load_checkpoint(args.checkpoint)["params"]
     args.out.mkdir(parents=True, exist_ok=True)
     # the trace holds each group's trial-0 episode of this very evaluation

@@ -3,7 +3,9 @@
 A config file declares the environment, the group set, the training and
 predictor hyperparameters, the list of policy runs, and the evaluation
 protocol. Every seed is explicit, and unknown keys are rejected.
-Validation errors name the offending path (e.g. "runs[2].mode").
+Validation errors name the offending path (e.g. "runs[2].mode"). The env
+must match the group set's destinations N and volume V, and counts
+(episodes, batch sizes, sync period, trials) are range-checked.
 """
 
 from __future__ import annotations
@@ -83,18 +85,8 @@ def _dataclass_overrides(cls, base, doc: dict, path: str):
 
 
 def appendix_b_defaults() -> tuple[EnvConfig, GroupSet, TrainConfig, CbConfig]:
-    """Desk-scale preset: N=20, M=10, T=10, V=1200, m=9 groups.
-
-    Rewards are scaled by 1/V inside the trainers; networks train in
-    float32 (gradient checks run in float64, where finite differences
-    are meaningful).
-    """
-    env = EnvConfig()
-    group_set = build_group_set("appendix-b")
-    scale = 1.0 / env.step_volume
-    train = TrainConfig(reward_scale=scale, dtype="float32")
-    cb = CbConfig(reward_scale=scale, explore="mixed", dtype="float32")
-    return env, group_set, train, cb
+    """Desk-scale preset: N=20, M=10, T=10, V=1200, m=9 groups; every config at its defaults."""
+    return EnvConfig(), build_group_set("appendix-b"), TrainConfig(), CbConfig()
 
 
 PRESETS = {"appendix-b": appendix_b_defaults}
@@ -127,11 +119,18 @@ def parse_config(text: str) -> ExperimentConfig:
             group_set = group_set_from_json(json.dumps(doc["groups"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("$.groups", str(exc)) from exc
+    if (env.n_destinations, env.step_volume) != (group_set.n_destinations, group_set.volume):
+        raise ConfigError("$.env", (
+            f"n_destinations {env.n_destinations} and step_volume {env.step_volume} must equal "
+            f"the groups' N {group_set.n_destinations} and volume {group_set.volume}"
+        ))
 
     master_seed = _take(doc, "master_seed", "$", int, required=True)
     evaluation = _take(doc, "evaluation", "$", dict, {})
     _reject_unknown(evaluation, ("trials", "seed"), "$.evaluation")
     eval_trials = _take(evaluation, "trials", "$.evaluation", int, default=20)
+    if eval_trials < 1:
+        raise ConfigError("$.evaluation.trials", "must be >= 1")
     eval_seed = _take(evaluation, "seed", "$.evaluation", int, required=True)
     output_dir = _take(doc, "output_dir", "$", str, default="out")
 
@@ -145,6 +144,8 @@ def parse_config(text: str) -> ExperimentConfig:
         name = _take(entry, "name", path, str, required=True)
         mode = _take(entry, "mode", path, str, required=True)
         episodes = _take(entry, "episodes", path, int, required=True)
+        if episodes < 0:
+            raise ConfigError(f"{path}.episodes", "must be >= 0")
         seeds = _take(entry, "seeds", path, list, required=True)
         if not seeds or not all(isinstance(s, int) for s in seeds):
             raise ConfigError(f"{path}.seeds", "must be a nonempty list of integers")

@@ -29,6 +29,7 @@ from .bandit import cb_worst_group, epsilon_at
 from .induction import GroupSet
 from .seeding import stream
 from .valuenet import (
+    NET_DTYPE,
     MlpParams,
     Optimizer,
     ReplayBuffer,
@@ -61,10 +62,7 @@ class TrainConfig:
     worst_case_mode: str = "random"
     fixed_group: int | None = None  # 0-based
     n_probe: int = 8
-    reward_scale: float = 1.0
     hidden: tuple[int, int] = (64, 64)
-    optimizer: str = "adam"
-    dtype: str = "float64"
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -73,8 +71,10 @@ class TrainConfig:
             raise ValueError(f"unknown worst_case_mode: {self.worst_case_mode!r}")
         if self.worst_case_mode == "fixed" and self.fixed_group is None:
             raise ValueError("fixed mode requires fixed_group")
-        if self.n_probe < 1:
-            raise ValueError(f"n_probe must be >= 1, got {self.n_probe}")
+        for name, least in (("episodes", 0), ("batch_size", 1), ("target_sync_every", 1),
+                            ("n_probe", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -239,11 +239,10 @@ def train_drmarl(
     replay_rng = stream(seed, "train/replay")
     probe_rng = stream(seed, "train/probe")
 
-    params = init_mlp(
-        default_q_dims(a_max, train_config.hidden), init_rng, dtype=np.dtype(train_config.dtype)
-    )
+    params = init_mlp(default_q_dims(a_max, train_config.hidden), init_rng, dtype=NET_DTYPE)
     target_params = target_sync(params)
-    optimizer = Optimizer(kind=train_config.optimizer, learning_rate=train_config.learning_rate)
+    optimizer = Optimizer(learning_rate=train_config.learning_rate)
+    scale = warehouse.reward_unit(env_config)
     buffer = ReplayBuffer(train_config.buffer_capacity)
 
     result = TrainResult(params=params)
@@ -259,13 +258,9 @@ def train_drmarl(
         cpu_start = time.process_time()
         state = warehouse.reset(env_config)
         obs = warehouse.observe_all(state, env_config)
-        # episode-start group draw (vacuous for the all-zero reset state,
-        # kept for the fixed/random bookkeeping of the algorithm)
-        group = (
-            int(train_config.fixed_group)
-            if mode == "fixed"
-            else int(group_rng.integers(m))
-        )
+        # vacuous episode-start group draw, kept because random mode's
+        # stream follows it; no other mode reads group_rng
+        group_rng.integers(m)
         returns = 0.0
         losses: list[float] = []
         epsilon = train_config.epsilon_start
@@ -283,19 +278,18 @@ def train_drmarl(
                 )
             else:
                 action = greedy_actions(params, obs, a_max, env_config.n_chutes)
-            if mode != "fixed":
-                group = select_worst_group(
-                    mode,
-                    group_set=group_set,
-                    state=state,
-                    observations=obs,
-                    action=action,
-                    env_config=env_config,
-                    rng=probe_rng if mode == "exhaustive" else group_rng,
-                    cb_params=cb_params,
-                    fixed_group=train_config.fixed_group,
-                    n_probe=train_config.n_probe,
-                )
+            group = select_worst_group(
+                mode,
+                group_set=group_set,
+                state=state,
+                observations=obs,
+                action=action,
+                env_config=env_config,
+                rng=probe_rng if mode == "exhaustive" else group_rng,
+                cb_params=cb_params,
+                fixed_group=train_config.fixed_group,
+                n_probe=train_config.n_probe,
+            )
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
             if trace_sink is not None:
@@ -309,7 +303,7 @@ def train_drmarl(
                     observations=obs,
                     action=action,
                     group=group,
-                    reward=raw_reward * train_config.reward_scale,
+                    reward=raw_reward * scale,
                     next_observations=next_obs,
                     terminal=(t == env_config.episode_steps - 1),
                 )

@@ -4,7 +4,8 @@ One shared local network Q' serves every agent: its input is the agent
 observation (which embeds the agent index) concatenated with a one-hot
 action encoding, and the joint action value is the sum of local values,
 accumulated left-to-right by agent index. Hidden layers use ReLU, the
-output is linear.
+output is linear. The trainers build their networks in NET_DTYPE; the
+float64 default of init_mlp serves the finite-difference gradient checks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 from . import budget
 from .warehouse import OBS_DIM
+
+
+NET_DTYPE = np.float32
 
 
 @dataclass
@@ -99,9 +103,8 @@ def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarr
 
 @dataclass
 class Optimizer:
-    """Plain SGD or Adam over MlpParams."""
+    """Adam over MlpParams."""
 
-    kind: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -120,13 +123,6 @@ class Optimizer:
             self.v_b = [np.zeros_like(b) for b in params.biases]
 
     def apply(self, params: MlpParams, grads_w, grads_b) -> None:
-        if self.kind == "sgd":
-            for w, b, gw, gb in zip(params.weights, params.biases, grads_w, grads_b):
-                w -= self.learning_rate * gw
-                b -= self.learning_rate * gb
-            return
-        if self.kind != "adam":
-            raise ValueError(f"unknown optimizer kind: {self.kind!r}")
         self._ensure_state(params)
         self.step_count += 1
         t = self.step_count

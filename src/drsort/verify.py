@@ -262,7 +262,7 @@ def check_env_conservation(seed: int = 0, steps: int = 10_000) -> CheckResult:
         )
         induction = rng.multinomial(config.step_volume, np.full(6, 1 / 6))
         outcome = warehouse.step(state, action, induction, config)
-        arrivals = induction + (state.recirc_backlog if config.recirc_carryover else 0)
+        arrivals = induction + state.recirc_backlog
         if not np.array_equal(outcome.sorted + outcome.recirculated, arrivals):
             return CheckResult("env-conservation", False, f"conservation violated at step {k}")
         if outcome.next_state.chutes_assigned.sum() > config.n_chutes:

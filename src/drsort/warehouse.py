@@ -5,9 +5,9 @@ reallocates the M available eject chutes (full per-step reallocation),
 packages arrive per an induction count vector, and a destination with at
 least one assigned chute sorts all of its arrivals (infinite chute
 capacity); destinations without a chute send all arrivals to the
-recirculation buffer. With carryover enabled, recirculated packages
-re-arrive at the next step. Reward per agent is
--recirculated_i - action_penalty * requests_i.
+recirculation buffer. Recirculated packages re-arrive at the next step.
+Reward per agent is -recirculated_i - action_penalty * requests_i; the
+trainers scale it by reward_unit(config) = 1/V.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class EnvConfig:
     step_volume: int = 1200
     action_max: int = 1
     action_penalty: float = 0.0
-    recirc_carryover: bool = True
 
     def __post_init__(self):
         if self.n_destinations < 1 or self.n_chutes < 1:
@@ -41,6 +40,11 @@ class EnvConfig:
 def main_formulation_config() -> EnvConfig:
     """Up to 10 chutes per agent and the -2a action penalty."""
     return EnvConfig(action_max=10, action_penalty=2.0)
+
+
+def reward_unit(config: EnvConfig) -> float:
+    """1/V: the trainers measure joint rewards in units of one step's volume."""
+    return 1.0 / max(config.step_volume, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +136,7 @@ def step(
     ):
         raise ValueError("infeasible joint action")
 
-    arrivals = induction + (state.recirc_backlog if config.recirc_carryover else 0)
+    arrivals = induction + state.recirc_backlog
     chuted = action > 0
     sorted_counts = np.where(chuted, arrivals, 0)
     recirculated = arrivals - sorted_counts
@@ -145,7 +149,7 @@ def step(
     next_state = WarehouseState(
         t=state.t + 1,
         chutes_assigned=action.copy(),
-        recirc_backlog=recirculated.copy() if config.recirc_carryover else np.zeros(shape, dtype=int),
+        recirc_backlog=recirculated.copy(),
         cum_recirc=state.cum_recirc + recirc_total,
         cum_sorted=state.cum_sorted + sorted_total,
     )

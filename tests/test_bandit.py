@@ -36,9 +36,15 @@ class TestTrainCb:
         assert first.episode_losses == second.episode_losses
 
 
+class TestCbConfig:
+    def test_checkpoint_exploration_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown explore kind 'checkpoint'"):
+            bandit.CbConfig(explore="checkpoint")
+        assert bandit.CbConfig(explore="random").explore == "random"
+
+
 class TestCbUpdate:
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_only_executed_heads_move(self, kind):
+    def test_only_executed_heads_move(self):
         rng = stream(33, "test/cb-update")
         env = warehouse.EnvConfig()
         params = valuenet.init_mlp(bandit.default_cb_dims(env.n_destinations, 4, (16, 16)), rng)
@@ -49,7 +55,7 @@ class TestCbUpdate:
             obs, action = random_context(env, rng)
             context = bandit.cb_context(obs, action, env.action_max)
             batch.append(bandit.CbTransition(context, group, float(rng.normal(-100.0, 10.0))))
-        bandit.cb_update(params, valuenet.Optimizer(kind=kind, learning_rate=1e-2), batch)
+        bandit.cb_update(params, valuenet.Optimizer(learning_rate=1e-2), batch)
         for head in (1, 3):
             assert np.array_equal(params.weights[-1][:, head], before_w[:, head])
             assert params.biases[-1][head] == before_b[head]

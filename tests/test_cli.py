@@ -1,6 +1,9 @@
 import json
 
-from drsort import cli
+import pytest
+
+from drsort import cli, valuenet, warehouse
+from drsort.seeding import stream
 
 
 def run(capsys, *argv):
@@ -29,6 +32,34 @@ def test_fixed_training_without_a_group_exits_2(capsys, tmp_path):
     assert code == cli.EXIT_CONFIG
     assert "[1, 9]" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_group_outside_fixed_mode_exits_2(capsys, tmp_path):
+    code, err = run(capsys, "train", "--mode", "random", "--group", 99, "--episodes", 1,
+                    "--seed", 1, "--out", tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "--group" in err and "random mode" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["train", "--mode", "random"], ["cb-train"]])
+def test_negative_episodes_exit_2(capsys, tmp_path, command):
+    code, err = run(capsys, *command, "--episodes", -1, "--seed", 1, "--out", tmp_path)
+    assert code == cli.EXIT_CONFIG
+    assert "--episodes: must be >= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_with_zero_trials_exits_2(capsys, tmp_path):
+    checkpoint = tmp_path / "policy.json"
+    params = valuenet.init_mlp(valuenet.default_q_dims(warehouse.EnvConfig().action_max),
+                               stream(1, "test/cli-q"), dtype=valuenet.NET_DTYPE)
+    valuenet.save_checkpoint(checkpoint, params, kind="vdn")
+    code, err = run(capsys, "eval", "--checkpoint", checkpoint, "--trials", 0, "--seed", 1,
+                    "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "--trials: must be >= 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mixed_cb_training_without_a_policy_checkpoint_exits_2(capsys, tmp_path):

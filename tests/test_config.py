@@ -40,6 +40,15 @@ def test_preset_defaults_fill_omitted_sections():
     assert cfg.output_dir == "out" and cfg.eval_trials == 2 and cfg.eval_seed == 3
 
 
+def test_env_overrides_that_match_the_groups_parse():
+    groups = {"groups": [{"probs": [0.5, 0.5], "volume": 60}]}
+    runs = [{"name": "r", "mode": "random", "episodes": 1, "seeds": [1]}]
+    cfg = parse(minimal_doc(env={"n_destinations": 2, "step_volume": 60}, groups=groups,
+                            runs=runs))
+    assert (cfg.env.n_destinations, cfg.env.step_volume) == (2, 60)
+    assert (cfg.group_set.n_destinations, cfg.group_set.volume) == (2, 60)
+
+
 def with_run(run, index=1):
     doc = minimal_doc()
     doc["runs"][index] = run
@@ -64,6 +73,18 @@ def with_run(run, index=1):
          "$.evaluation.trails", "unknown field"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seed": [1]}),
          "$.runs[1].seed", "unknown field"),
+        (minimal_doc(env={"n_destinations": 12}), "$.env", "groups' N 20"),
+        (minimal_doc(env={"step_volume": 600}), "$.env", "volume 1200"),
+        (minimal_doc(env={"recirc_carryover": False}), "$.env.recirc_carryover", "unknown field"),
+        (minimal_doc(train={"reward_scale": 1.0}), "$.train.reward_scale", "unknown field"),
+        (minimal_doc(train={"target_sync_every": 0}), "$.train", "target_sync_every must be >= 1"),
+        (minimal_doc(train={"batch_size": 0}), "$.train", "batch_size must be >= 1"),
+        (minimal_doc(train={"episodes": -1}), "$.train", "episodes must be >= 0"),
+        (minimal_doc(cb={"batch_size": 0}), "$.cb", "batch_size must be >= 1"),
+        (minimal_doc(cb={"explore": "checkpoint"}), "$.cb", "unknown explore kind"),
+        (with_run({"name": "x", "mode": "random", "episodes": -3, "seeds": [1]}),
+         "$.runs[1].episodes", ">= 0"),
+        (minimal_doc(evaluation={"trials": 0, "seed": 3}), "$.evaluation.trials", ">= 1"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drsort import budget, config, experiment, training, valuenet, warehouse
+from drsort import bandit, budget, config, experiment, training, valuenet, warehouse
 from drsort.induction import GroupSet, MultinomialSpec
 from drsort.seeding import stream
 from drsort.valuenet import action_value_table, default_q_dims, init_mlp, params_digest
@@ -64,8 +64,8 @@ def assert_matches_reference(params, env_config, group_set, trials, seed):
 
 class TestEvaluatePolicy:
     def test_appendix_b_matches_per_episode_rollouts(self):
-        env, group_set, train, _ = config.appendix_b_defaults()
-        params = random_q_params(env, 1, dtype=train.dtype)
+        env, group_set, _, _ = config.appendix_b_defaults()
+        params = random_q_params(env, 1, dtype=valuenet.NET_DTYPE)
         report = assert_matches_reference(params, env, group_set, 3, seed=11)
         rates = report.episode_values("recirc_rate")
         assert len(rates) == 9 * 3
@@ -179,9 +179,7 @@ def probe_setups():
         "appendix-b": (env, group_set, 8),
         "main-formulation": (warehouse.main_formulation_config(), group_set, 8),
         "small-n_probe-3": (small_env, small_groups, 3),
-        "carryover-off-n_probe-1": (
-            dataclasses.replace(small_env, recirc_carryover=False), small_groups, 1,
-        ),
+        "small-n_probe-1": (small_env, small_groups, 1),
     }
 
 
@@ -237,6 +235,19 @@ class TestExhaustiveProbing:
         result = training.train_drmarl(train, env, group_set, seed=31)
         assert params_digest(result.params) == (
             "7c032d24068a39c014d6c574ae7f65b9fee73b525d4f826f4b018242135bb61e"
+        )
+
+    def test_short_mixed_cb_training_keeps_its_digest(self):
+        # recorded with the closure-built exploration policies (numpy 2.4 with OpenBLAS 0.3.31)
+        env, group_set, _, cb = config.appendix_b_defaults()
+        assert cb.explore == "mixed"
+        anchor = init_mlp(
+            default_q_dims(env.action_max), stream(37, "test/q-anchor"), dtype=valuenet.NET_DTYPE
+        )
+        cb = dataclasses.replace(cb, episodes=3, batch_size=8)
+        result = bandit.train_cb(env, group_set, cb, 37, q_params=anchor)
+        assert params_digest(result.params) == (
+            "a9b25ebc30bd3771b70fdca047d166697cc029a06aebad4a2537e22b08b7caf4"
         )
 
 

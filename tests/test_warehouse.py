@@ -82,7 +82,7 @@ class TestStep:
             )
 
     def test_carryover_backlog_rearrives(self):
-        config = small_config(recirc_carryover=True)
+        config = small_config()
         first = warehouse.step(
             warehouse.reset(config), np.array([0, 0, 0]), np.array([6, 0, 0]), config
         )
@@ -93,13 +93,6 @@ class TestStep:
         # a chuted destination sorts its whole backlog: nothing survives
         assert second.sorted[0] == 8
         assert second.next_state.recirc_backlog[0] == 0
-
-    def test_carryover_off_drops_backlog(self):
-        config = small_config(recirc_carryover=False)
-        first = warehouse.step(
-            warehouse.reset(config), np.array([0, 0, 0]), np.array([6, 0, 0]), config
-        )
-        assert first.next_state.recirc_backlog.sum() == 0
 
     def test_conservation_and_budget_random_steps(self):
         config = small_config(n_destinations=5, n_chutes=3, step_volume=30)
@@ -229,7 +222,7 @@ class TestEpisodeMetrics:
         assert metrics.recirc_amount == 0
 
     def test_nothing_sorted_rate_one(self):
-        config = small_config(recirc_carryover=False)
+        config = small_config()
         metrics = self.run_episode(
             config, np.zeros(3, dtype=int), [np.array([8, 4, 4])] * 4
         )
@@ -240,7 +233,7 @@ class TestEpisodeMetrics:
         # 12,000 inducted with 68 recirculated passes is a ~0.57% rate,
         # the scale reported for the robust policies
         config = warehouse.EnvConfig(n_destinations=2, n_chutes=1, episode_steps=1,
-                                     step_volume=12_000, recirc_carryover=False)
+                                     step_volume=12_000)
         metrics = self.run_episode(
             config, np.array([1, 0]), [np.array([11_932, 68])]
         )
@@ -251,7 +244,7 @@ class TestEpisodeMetrics:
 
     def test_pass_counting_with_carryover(self):
         # uncovered packages are counted once per pass through the system
-        config = small_config(recirc_carryover=True)
+        config = small_config()
         metrics = self.run_episode(
             config, np.zeros(3, dtype=int), [np.array([4, 0, 0]), np.array([4, 0, 0])]
         )
