@@ -8,10 +8,6 @@ from .induction import (
     MultinomialSpec,
     TruncatedNormalSpec,
     build_group_set,
-    estimate_saa,
-    mixture_distribution,
-    multinomial_pmf,
-    sample_induction,
     truncated_normal_probs,
 )
 from .warehouse import (
@@ -20,7 +16,6 @@ from .warehouse import (
     StepOutcome,
     WarehouseState,
     episode_metrics,
-    observe,
     reset,
     step,
 )
@@ -30,17 +25,12 @@ __all__ = [
     "MultinomialSpec",
     "TruncatedNormalSpec",
     "build_group_set",
-    "estimate_saa",
-    "mixture_distribution",
-    "multinomial_pmf",
-    "sample_induction",
     "truncated_normal_probs",
     "EnvConfig",
     "EpisodeMetrics",
     "StepOutcome",
     "WarehouseState",
     "episode_metrics",
-    "observe",
     "reset",
     "step",
 ]

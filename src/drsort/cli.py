@@ -125,13 +125,13 @@ def _cmd_train(args) -> int:
     train_cfg = dataclasses.replace(train_cfg, **updates)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    trace_path = args.out / f"trajectory_train-s{args.seed}.jsonl" if args.trace else None
+    tag = f"{args.mode}" + (f"-g{args.group}" if args.group else "") + f"-s{args.seed}"
+    trace_path = args.out / f"trajectory_train-{tag}.jsonl" if args.trace else None
     with _jsonl_sink(trace_path) as sink:
         result = training.train_drmarl(
             train_cfg, env, group_set, args.seed, cb_params, trace_sink=sink
         )
 
-    tag = f"{args.mode}" + (f"-g{args.group}" if args.group else "") + f"-s{args.seed}"
     experiment.write_trace_csv(args.out / f"trace_train-{tag}.csv", result.trace)
     checkpoint = args.out / f"policy-{tag}.json"
     experiment.save_policy(
@@ -149,6 +149,8 @@ def _cmd_cb_train(args) -> int:
         cb_cfg = dataclasses.replace(cb_cfg, episodes=args.episodes)
     q_params = None
     if args.policy_checkpoint is not None:
+        if cb_cfg.explore == "random":
+            raise ConfigError("--policy-checkpoint", "'random' exploration reads no policy")
         q_params = valuenet.load_checkpoint(args.policy_checkpoint)["params"]
     elif cb_cfg.explore == "mixed":
         raise ConfigError(

@@ -157,6 +157,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"{path}.group", "fixed mode requires a group")
             if not 1 <= group <= group_set.size:
                 raise ConfigError(f"{path}.group", f"group must be in [1, {group_set.size}]")
+        elif group is not None:
+            raise ConfigError(f"{path}.group", f"{mode} mode takes no group")
         runs.append(RunSpec(name=name, mode=mode, episodes=episodes, seeds=tuple(seeds), group=group))
     names = [r.name for r in runs]
     if len(set(names)) != len(names):

@@ -1,10 +1,14 @@
-"""Induction-generating distributions, group sets, sampling, and SAA.
+"""Induction groups: the finite ambiguity set of arrival distributions.
 
 A group set is an ordered family of per-destination package-arrival
-distributions. Two parameterizations are supported: a discretized
-truncated normal over destination indices, and an explicit multinomial
-probability vector. All probability vectors are valid simplex vectors
-(entrywise nonnegative, summing to 1 within 1e-12).
+distributions, held as one read-only (m, N) probability matrix from
+which `GroupSet.sample` draws induction count vectors. The robust
+objective is the worst of these m groups (by Lemma 1 the worst case over
+their mixtures lies at a vertex), so every run samples, trains and
+evaluates on the groups themselves. Two parameterizations are supported:
+a discretized truncated normal over destination indices, and an explicit
+multinomial probability vector. All probability vectors are valid
+simplex vectors (entrywise nonnegative, summing to 1 within 1e-12).
 
 Group indices are 1-based in files and logs, 0-based in code.
 """
@@ -123,52 +127,6 @@ def truncated_normal_probs(spec: TruncatedNormalSpec) -> np.ndarray:
     return masses / denominator
 
 
-def multinomial_pmf(spec: MultinomialSpec, counts: np.ndarray) -> float:
-    """P(X = counts) for the multinomial, computed in log space.
-
-    Zero-probability categories with positive counts yield exactly 0.
-    """
-    counts = np.asarray(counts)
-    if counts.shape != (spec.size,):
-        raise ValueError("support violation: counts length does not match spec")
-    if np.any(counts < 0) or int(counts.sum()) != spec.volume:
-        raise ValueError("support violation: counts must be nonnegative and sum to volume")
-    probs = spec.probs()
-    if np.any((probs == 0.0) & (counts > 0)):
-        return 0.0
-    log_pmf = math.lgamma(spec.volume + 1)
-    for z, p in zip(counts, probs):
-        log_pmf -= math.lgamma(int(z) + 1)
-        if z > 0:
-            log_pmf += z * math.log(p)
-    return math.exp(log_pmf)
-
-
-def sample_induction(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """One per-destination count vector summing to the spec's volume."""
-    return rng.multinomial(spec.volume, spec.probs())
-
-
-def estimate_saa(samples: list[np.ndarray]) -> MultinomialSpec:
-    """Sample-average-approximation frequency estimate from count vectors."""
-    if not samples:
-        raise ValueError("estimate_saa requires at least one sample")
-    stacked = np.asarray(samples, dtype=np.int64)
-    if stacked.ndim != 2:
-        raise ValueError("samples must share a common length")
-    totals = stacked.sum(axis=1)
-    if np.any(totals != totals[0]):
-        raise ValueError("samples must share the same total volume")
-    volume = int(totals[0])
-    pooled = stacked.sum(axis=0)
-    grand = int(pooled.sum())
-    if grand == 0:
-        probs = np.full(stacked.shape[1], 1.0 / stacked.shape[1])
-    else:
-        probs = pooled / grand
-    return MultinomialSpec(probs_vector=tuple(float(p) for p in probs), volume=volume)
-
-
 @dataclass(frozen=True)
 class GroupSet:
     """Ordered family of induction distributions indexing the ambiguity set."""
@@ -218,45 +176,20 @@ class GroupSet:
 APPENDIX_B_MEANS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
 
 
-def build_group_set(kind: str, params: dict | None = None) -> GroupSet:
-    """Construct a group set.
+def build_group_set(kind: str) -> GroupSet:
+    """The named group set.
 
     kind="appendix-b": the 9-group family of discretized truncated
     normals with means -4..4, sigma=2, N=20 destinations, V=1200
     packages per step.
-
-    kind="custom": params={"groups": [GroupSpec, ...]}.
     """
-    if kind == "appendix-b":
-        groups = tuple(
-            TruncatedNormalSpec(mu=mu, sigma=2.0, n_destinations=20, volume=1200)
-            for mu in APPENDIX_B_MEANS
-        )
-        return GroupSet(kind=kind, groups=groups)
-    if kind == "custom":
-        if not params or "groups" not in params:
-            raise ValueError("custom group set requires params={'groups': [...]}")
-        return GroupSet(kind=kind, groups=tuple(params["groups"]))
-    raise ValueError(f"unknown group set kind: {kind!r}")
-
-
-def mixture_distribution(group_set: GroupSet, weights: np.ndarray) -> np.ndarray:
-    """Convex combination sum_g q_g * probs(g) of the group distributions.
-
-    At a simplex vertex the corresponding group's vector is returned as a
-    copy, with no arithmetic applied.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (group_set.size,):
-        raise ValueError("weight vector length must equal the number of groups")
-    _check_simplex(weights)
-    vertex = np.flatnonzero(weights == 1.0)
-    if vertex.size == 1 and float(weights.sum()) == 1.0:
-        return group_set.probs(int(vertex[0])).copy()
-    mixture = np.zeros(group_set.n_destinations)
-    for q, group in zip(weights, group_set.groups):
-        mixture += q * group.probs()
-    return mixture
+    if kind != "appendix-b":
+        raise ValueError(f"unknown group set kind: {kind!r}")
+    groups = tuple(
+        TruncatedNormalSpec(mu=mu, sigma=2.0, n_destinations=20, volume=1200)
+        for mu in APPENDIX_B_MEANS
+    )
+    return GroupSet(kind=kind, groups=groups)
 
 
 def group_set_to_json(group_set: GroupSet) -> str:

@@ -302,7 +302,6 @@ def train_drmarl(
                 Transition(
                     observations=obs,
                     action=action,
-                    group=group,
                     reward=raw_reward * scale,
                     next_observations=next_obs,
                     terminal=(t == env_config.episode_steps - 1),
@@ -368,10 +367,6 @@ class EvaluationReport:
 
     def mean_over_groups(self, attr: str) -> float:
         return float(np.mean([g.mean(attr) for g in self.per_group]))
-
-    def episode_values(self, attr: str) -> np.ndarray:
-        """All per-episode values pooled across groups."""
-        return np.concatenate([g._values(attr) for g in self.per_group])
 
 
 def rollout(

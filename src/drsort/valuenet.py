@@ -78,8 +78,6 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
 def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarray):
     """Gradients of sum(grad_out * output) w.r.t. all weights and biases."""
     grad = np.asarray(grad_out, dtype=params.dtype)
-    if grad.ndim == 1:
-        grad = grad[None, :]
     grads_w = [None] * params.n_layers
     grads_b = [None] * params.n_layers
     last = params.n_layers - 1
@@ -286,7 +284,6 @@ def greedy_actions(
 class Transition:
     observations: np.ndarray  # (N, OBS_DIM)
     action: np.ndarray  # (N,)
-    group: int  # 0-based group index
     reward: float  # joint scalar (trainer-scaled)
     next_observations: np.ndarray
     terminal: bool

@@ -9,7 +9,6 @@ minute.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -274,7 +273,7 @@ def check_env_conservation(seed: int = 0, steps: int = 10_000) -> CheckResult:
 
 
 def check_induction_correctness(seed: int = 0) -> CheckResult:
-    """Truncated-normal probs match the series oracle; pmf sums to 1."""
+    """Truncated-normal probs match the series oracle."""
     rng = stream(seed, "verify/induction")
     worst = 0.0
     for _ in range(40):
@@ -289,23 +288,7 @@ def check_induction_correctness(seed: int = 0) -> CheckResult:
             return CheckResult(
                 "induction-correctness", False, f"CDF-oracle deviation {worst:.3e} >= 1e-6"
             )
-    for _ in range(20):
-        k = int(rng.integers(2, 4))
-        volume = int(rng.integers(0, 7))
-        probs = rng.dirichlet(np.ones(k))
-        spec = induction.MultinomialSpec(probs_vector=tuple(probs), volume=volume)
-        total = 0.0
-        for combo in itertools.product(range(volume + 1), repeat=k):
-            if sum(combo) == volume:
-                total += induction.multinomial_pmf(spec, np.array(combo))
-        if abs(total - 1.0) > 1e-10:
-            return CheckResult(
-                "induction-correctness", False,
-                f"pmf total {total!r} deviates from 1 beyond 1e-10 (V={volume}, k={k})",
-            )
-    return CheckResult(
-        "induction-correctness", True, f"max CDF deviation {worst:.3e}; pmf supports sum to 1"
-    )
+    return CheckResult("induction-correctness", True, f"max CDF deviation {worst:.3e}")
 
 
 ALL_CHECKS = (

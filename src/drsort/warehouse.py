@@ -178,13 +178,6 @@ def episode_outcome(outcome: StepOutcome, k: int) -> StepOutcome:
     )
 
 
-def observe(state: WarehouseState, agent_index: int, config: EnvConfig) -> np.ndarray:
-    """Local observation of agent_index (1-based): its row of observe_all."""
-    if not 1 <= agent_index <= config.n_destinations:
-        raise ValueError("agent_index out of range")
-    return observe_all(state, config)[..., agent_index - 1, :]
-
-
 def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
     """(N, OBS_DIM) matrix of all agents' observations; (K, N, OBS_DIM) for a batch.
 

@@ -11,6 +11,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+def write_policy(path):
+    params = valuenet.init_mlp(valuenet.default_q_dims(warehouse.EnvConfig().action_max),
+                               stream(1, "test/cli-q"), dtype=valuenet.NET_DTYPE)
+    valuenet.save_checkpoint(path, params, kind="vdn")
+    return path
+
+
 def test_verify_passes(capsys):
     code = cli.main(["verify"])
     assert code == cli.EXIT_OK
@@ -51,10 +58,7 @@ def test_negative_episodes_exit_2(capsys, tmp_path, command):
 
 
 def test_eval_with_zero_trials_exits_2(capsys, tmp_path):
-    checkpoint = tmp_path / "policy.json"
-    params = valuenet.init_mlp(valuenet.default_q_dims(warehouse.EnvConfig().action_max),
-                               stream(1, "test/cli-q"), dtype=valuenet.NET_DTYPE)
-    valuenet.save_checkpoint(checkpoint, params, kind="vdn")
+    checkpoint = write_policy(tmp_path / "policy.json")
     code, err = run(capsys, "eval", "--checkpoint", checkpoint, "--trials", 0, "--seed", 1,
                     "--out", tmp_path / "out")
     assert code == cli.EXIT_CONFIG
@@ -67,6 +71,30 @@ def test_mixed_cb_training_without_a_policy_checkpoint_exits_2(capsys, tmp_path)
     assert code == cli.EXIT_CONFIG
     assert "--policy-checkpoint" in err and "'mixed'" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_policy_checkpoint_under_random_exploration_exits_2(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "master_seed": 1, "evaluation": {"seed": 1}, "runs": [],
+        "cb": {"explore": "random", "episodes": 1},
+    }), encoding="utf-8")
+    checkpoint = write_policy(tmp_path / "policy.json")
+    code, err = run(capsys, "cb-train", "--seed", 1, "--config", config_path,
+                    "--policy-checkpoint", checkpoint, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "--policy-checkpoint" in err and "'random'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_traces_of_two_modes_with_one_seed_keep_apart(capsys, tmp_path):
+    for mode in ("random", "exhaustive"):
+        assert run(capsys, "train", "--mode", mode, "--episodes", 1, "--seed", 1,
+                   "--out", tmp_path, "--trace")[0] == cli.EXIT_OK
+    traces = sorted(p.name for p in tmp_path.glob("trajectory_train-*.jsonl"))
+    assert traces == ["trajectory_train-exhaustive-s1.jsonl", "trajectory_train-random-s1.jsonl"]
+    for name in traces:
+        assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == 10
 
 
 def test_eval_of_a_checkpoint_with_another_format_version_exits_3(capsys, tmp_path):

@@ -85,6 +85,8 @@ def with_run(run, index=1):
         (with_run({"name": "x", "mode": "random", "episodes": -3, "seeds": [1]}),
          "$.runs[1].episodes", ">= 0"),
         (minimal_doc(evaluation={"trials": 0, "seed": 3}), "$.evaluation.trials", ">= 1"),
+        (with_run({"name": "x", "mode": "random", "group": 3, "episodes": 1, "seeds": [1]}),
+         "$.runs[1].group", "random mode takes no group"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

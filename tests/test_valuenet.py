@@ -295,7 +295,6 @@ def transition(next_observations, *, reward=0.0, terminal=False):
     return valuenet.Transition(
         observations=np.zeros_like(next_observations),
         action=np.zeros(n, dtype=int),
-        group=0,
         reward=reward,
         next_observations=next_observations,
         terminal=terminal,

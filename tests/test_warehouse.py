@@ -137,33 +137,34 @@ class TestStep:
 class TestObserve:
     def test_fresh_reset_has_full_availability(self):
         config = warehouse.EnvConfig()
-        obs = warehouse.observe(warehouse.reset(config), 1, config)
-        assert obs[1] == 1.0
+        obs = warehouse.observe_all(warehouse.reset(config), config)
+        assert np.all(obs[:, 1] == 1.0)
 
     def test_identical_agents_differ_only_in_index_feature(self):
         config = small_config()
-        state = warehouse.reset(config)
-        a = warehouse.observe(state, 1, config)
-        b = warehouse.observe(state, 2, config)
+        a, b, _ = warehouse.observe_all(warehouse.reset(config), config)
         assert a[0] != b[0]
         assert np.array_equal(a[1:], b[1:])
 
     def test_fixed_length_across_agents_and_steps(self):
         config = small_config()
         state = warehouse.reset(config)
-        lengths = {warehouse.observe(state, i, config).size for i in (1, 2, 3)}
         out = warehouse.step(state, np.array([1, 0, 0]), np.array([4, 4, 8]), config)
-        lengths |= {warehouse.observe(out.next_state, i, config).size for i in (1, 2, 3)}
-        assert lengths == {warehouse.OBS_DIM}
+        for s in (state, out.next_state):
+            assert warehouse.observe_all(s, config).shape == (3, warehouse.OBS_DIM)
 
-    def test_observe_all_matches_observe(self):
+    def test_observe_all_rows_are_the_documented_features(self):
         config = small_config()
         out = warehouse.step(
             warehouse.reset(config), np.array([0, 1, 0]), np.array([4, 4, 8]), config
         )
-        stacked = warehouse.observe_all(out.next_state, config)
-        for i in range(3):
-            assert stacked[i] == pytest.approx(warehouse.observe(out.next_state, i + 1, config))
+        # per agent: index / (N-1), free chutes / M, own chutes / A_max, t / T, backlog / V
+        expected = [
+            [0.0, 0.5, 0.0, 0.25, 4 / 16],
+            [0.5, 0.5, 1.0, 0.25, 0.0],
+            [1.0, 0.5, 0.0, 0.25, 8 / 16],
+        ]
+        assert np.array_equal(warehouse.observe_all(out.next_state, config), expected)
 
     def test_features_stay_in_unit_interval(self):
         config = small_config()
@@ -178,13 +179,6 @@ class TestObserve:
             assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
             if state.t == config.episode_steps:
                 state = warehouse.reset(config)
-
-    def test_agent_index_out_of_range(self):
-        config = small_config()
-        with pytest.raises(ValueError):
-            warehouse.observe(warehouse.reset(config), 0, config)
-        with pytest.raises(ValueError):
-            warehouse.observe(warehouse.reset(config), 4, config)
 
 
 def summed_metrics(outcomes):
