@@ -23,6 +23,7 @@ from .induction import GroupSet
 from .seeding import stream
 from .valuenet import (
     NET_DTYPE,
+    LearnerConfig,
     MlpParams,
     Optimizer,
     ReplayBuffer,
@@ -38,25 +39,12 @@ EXPLORE_KINDS = ("random", "mixed")
 
 
 @dataclass(frozen=True)
-class CbConfig:
-    learning_rate: float = 1e-3
+class CbConfig(LearnerConfig):
     episodes: int = 200
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.8
-    batch_size: int = 64
-    buffer_capacity: int = 50_000
-    hidden: tuple[int, int] = (64, 64)
     explore: str = "mixed"  # one of EXPLORE_KINDS
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("epsilon schedule must stay within [0, 1] and be nonincreasing")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, least in (("episodes", 0), ("batch_size", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        super().__post_init__()
         if self.explore not in EXPLORE_KINDS:
             raise ValueError(f"unknown explore kind {self.explore!r}; choose from {EXPLORE_KINDS}")
 
@@ -66,14 +54,6 @@ class CbTransition:
     context: np.ndarray
     group: int  # 0-based
     observed_reward: float
-
-
-def epsilon_at(step: int, total_steps: int, start: float, end: float, fraction: float) -> float:
-    """Linear decay from start to end over the first `fraction` of steps."""
-    horizon = max(int(total_steps * fraction), 1)
-    if step >= horizon:
-        return end
-    return start + (end - start) * (step / horizon)
 
 
 def cb_context(observations: np.ndarray, action: np.ndarray, a_max: int) -> np.ndarray:
@@ -86,7 +66,7 @@ def cb_context_dim(n_destinations: int, obs_dim: int = warehouse.OBS_DIM) -> int
     return n_destinations * obs_dim + n_destinations
 
 
-def default_cb_dims(n_destinations: int, n_groups: int, hidden=(64, 64)) -> list[int]:
+def default_cb_dims(n_destinations: int, n_groups: int, hidden=LearnerConfig.hidden) -> list[int]:
     return [cb_context_dim(n_destinations), *hidden, n_groups]
 
 
@@ -211,7 +191,6 @@ def train_cb(
     scale = warehouse.reward_unit(env_config)
     buffer = ReplayBuffer(cb_config.buffer_capacity)
 
-    total_steps = cb_config.episodes * env_config.episode_steps
     step_count = 0
     episode_losses: list[float] = []
     for _episode in range(cb_config.episodes):
@@ -220,13 +199,7 @@ def train_cb(
         for _t in range(env_config.episode_steps):
             obs = warehouse.observe_all(state, env_config)
             action = explore_action(cb_config.explore, obs, env_config, explore_rng, q_params)
-            eps = epsilon_at(
-                step_count,
-                total_steps,
-                cb_config.epsilon_start,
-                cb_config.epsilon_end,
-                cb_config.epsilon_decay_fraction,
-            )
+            eps = cb_config.epsilon(step_count, env_config.episode_steps)
             group = choose_group(params, obs, action, a_max, m, eps, group_rng)
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)

@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiment, training, valuenet, verify
-from .config import ConfigError, appendix_b_defaults, load_config
+from . import experiment, training, verify
+from .config import ConfigError, RunSpec, appendix_b_defaults, load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,21 +92,11 @@ def _jsonl_sink(path: Path | None):
         yield lambda record: fh.write(json.dumps(record) + "\n")
 
 
-def _check_episodes(episodes: int | None) -> None:
-    if episodes is not None and episodes < 0:
-        raise ConfigError("--episodes", "must be >= 0")
-
-
 def _cmd_train(args) -> int:
     env, group_set, train_cfg, _ = _resolve_defaults(args.config)
-    _check_episodes(args.episodes)
-    if args.mode != "fixed":
-        if args.group is not None:
-            raise ConfigError("--group", f"{args.mode} mode takes no --group")
-    elif args.group is None:
-        raise ConfigError("--group", "fixed mode requires --group")
-    elif not 1 <= args.group <= group_set.size:
-        raise ConfigError("--group", f"group must be in [1, {group_set.size}]")
+    episodes = train_cfg.episodes if args.episodes is None else args.episodes
+    run = RunSpec("train", args.mode, episodes, (args.seed,), args.group)
+    run.check(group_set.size, lambda field: f"--{field}")
     cb_params = None
     if args.mode == "cb":
         if args.cb_checkpoint is None:
@@ -115,14 +105,10 @@ def _cmd_train(args) -> int:
                 "cb mode requires a trained worst-case predictor checkpoint "
                 "(run `drsort cb-train` first)",
             )
-        cb_params = valuenet.load_checkpoint(args.cb_checkpoint)["params"]
-    updates = {
-        "worst_case_mode": args.mode,
-        "fixed_group": (args.group - 1) if args.group is not None else None,
-    }
-    if args.episodes is not None:
-        updates["episodes"] = args.episodes
-    train_cfg = dataclasses.replace(train_cfg, **updates)
+        cb_params = experiment.load_predictor(args.cb_checkpoint, env, group_set)
+    elif args.cb_checkpoint is not None:
+        raise ConfigError("--cb-checkpoint", f"{args.mode} mode reads no predictor")
+    train_cfg = run.train_config(train_cfg)
 
     args.out.mkdir(parents=True, exist_ok=True)
     tag = f"{args.mode}" + (f"-g{args.group}" if args.group else "") + f"-s{args.seed}"
@@ -144,14 +130,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_cb_train(args) -> int:
     env, group_set, _, cb_cfg = _resolve_defaults(args.config)
-    _check_episodes(args.episodes)
     if args.episodes is not None:
+        if args.episodes < 0:
+            raise ConfigError("--episodes", "must be >= 0")
         cb_cfg = dataclasses.replace(cb_cfg, episodes=args.episodes)
     q_params = None
     if args.policy_checkpoint is not None:
         if cb_cfg.explore == "random":
             raise ConfigError("--policy-checkpoint", "'random' exploration reads no policy")
-        q_params = valuenet.load_checkpoint(args.policy_checkpoint)["params"]
+        q_params = experiment.load_policy(args.policy_checkpoint, env)
     elif cb_cfg.explore == "mixed":
         raise ConfigError(
             "--policy-checkpoint",
@@ -173,7 +160,7 @@ def _cmd_eval(args) -> int:
     env, group_set, _, _ = _resolve_defaults(args.config)
     if args.trials < 1:
         raise ConfigError("--trials", "must be >= 1")
-    params = valuenet.load_checkpoint(args.checkpoint)["params"]
+    params = experiment.load_policy(args.checkpoint, env)
     args.out.mkdir(parents=True, exist_ok=True)
     # the trace holds each group's trial-0 episode of this very evaluation
     trace_path = args.out / f"trajectory_eval-{args.checkpoint.stem}.jsonl" if args.trace else None

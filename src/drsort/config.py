@@ -3,9 +3,14 @@
 A config file declares the environment, the group set, the training and
 predictor hyperparameters, the list of policy runs, and the evaluation
 protocol. Every seed is explicit, and unknown keys are rejected.
-Validation errors name the offending path (e.g. "runs[2].mode"). The env
-must match the group set's destinations N and volume V, and counts
-(episodes, batch sizes, sync period, trials) are range-checked.
+Validation errors name the offending path (e.g. "runs[2].mode").
+
+Each rule has one owner. EnvConfig, valuenet.LearnerConfig (the fields both
+trainers share), TrainConfig and CbConfig check their own fields. RunSpec
+checks a run's mode, 1-based group, episodes and seeds, and maps them onto
+a TrainConfig, so $.train takes no mode or group. parse_config checks the
+document: types, unknown keys, unique run names, evaluation trials, and an
+env whose N and V equal the group set's.
 """
 
 from __future__ import annotations
@@ -28,13 +33,43 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# TrainConfig fields that RunSpec.train_config sets for every run
+RUN_FIELDS = ("worst_case_mode", "fixed_group")
+
+
 @dataclass(frozen=True)
 class RunSpec:
+    """One policy run, trained once per seed."""
+
     name: str
-    mode: str  # fixed | cb | exhaustive | random
+    mode: str  # one of training.WORST_CASE_MODES
     episodes: int
     seeds: tuple[int, ...]
     group: int | None = None  # 1-based, required for fixed mode
+
+    def check(self, n_groups: int, at) -> None:
+        """Raise a ConfigError at `at(field)` if the run breaks a rule."""
+        if self.episodes < 0:
+            raise ConfigError(at("episodes"), "must be >= 0")
+        seeds = self.seeds
+        if not seeds or not all(isinstance(s, int) for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ConfigError(at("seeds"), "must be a nonempty list of distinct integers")
+        if self.mode not in WORST_CASE_MODES:
+            raise ConfigError(at("mode"), f"unknown mode {self.mode!r}")
+        if self.mode == "fixed":
+            if self.group is None:
+                raise ConfigError(at("group"), "fixed mode requires a group")
+            if not 1 <= self.group <= n_groups:
+                raise ConfigError(at("group"), f"group must be in [1, {n_groups}]")
+        elif self.group is not None:
+            raise ConfigError(at("group"), f"{self.mode} mode takes no group")
+
+    def train_config(self, base: TrainConfig) -> TrainConfig:
+        """`base` with this run's mode, episodes and 0-based fixed group."""
+        group = None if self.group is None else self.group - 1
+        return dataclasses.replace(
+            base, worst_case_mode=self.mode, fixed_group=group, episodes=self.episodes
+        )
 
 
 @dataclass(frozen=True)
@@ -69,10 +104,10 @@ def _reject_unknown(doc: dict, known, path: str) -> None:
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
-def _dataclass_overrides(cls, base, doc: dict, path: str):
+def _dataclass_overrides(cls, base, doc: dict, path: str, exclude=()):
     if not doc:
         return base
-    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, path)
+    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)} - set(exclude), path)
     updates = {}
     for key, value in doc.items():
         if isinstance(value, list):
@@ -112,7 +147,9 @@ def parse_config(text: str) -> ExperimentConfig:
     env, group_set, train, cb = PRESETS[preset]()
 
     env = _dataclass_overrides(EnvConfig, env, _take(doc, "env", "$", dict, {}), "$.env")
-    train = _dataclass_overrides(TrainConfig, train, _take(doc, "train", "$", dict, {}), "$.train")
+    train = _dataclass_overrides(
+        TrainConfig, train, _take(doc, "train", "$", dict, {}), "$.train", exclude=RUN_FIELDS
+    )
     cb = _dataclass_overrides(CbConfig, cb, _take(doc, "cb", "$", dict, {}), "$.cb")
     if "groups" in doc:
         try:
@@ -141,25 +178,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(path, "run must be an object")
         _reject_unknown(entry, [f.name for f in dataclasses.fields(RunSpec)], path)
-        name = _take(entry, "name", path, str, required=True)
-        mode = _take(entry, "mode", path, str, required=True)
-        episodes = _take(entry, "episodes", path, int, required=True)
-        if episodes < 0:
-            raise ConfigError(f"{path}.episodes", "must be >= 0")
-        seeds = _take(entry, "seeds", path, list, required=True)
-        if not seeds or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError(f"{path}.seeds", "must be a nonempty list of integers")
-        group = _take(entry, "group", path, int)
-        if mode not in WORST_CASE_MODES:
-            raise ConfigError(f"{path}.mode", f"unknown mode {mode!r}")
-        if mode == "fixed":
-            if group is None:
-                raise ConfigError(f"{path}.group", "fixed mode requires a group")
-            if not 1 <= group <= group_set.size:
-                raise ConfigError(f"{path}.group", f"group must be in [1, {group_set.size}]")
-        elif group is not None:
-            raise ConfigError(f"{path}.group", f"{mode} mode takes no group")
-        runs.append(RunSpec(name=name, mode=mode, episodes=episodes, seeds=tuple(seeds), group=group))
+        run = RunSpec(
+            name=_take(entry, "name", path, str, required=True),
+            mode=_take(entry, "mode", path, str, required=True),
+            episodes=_take(entry, "episodes", path, int, required=True),
+            seeds=tuple(_take(entry, "seeds", path, list, required=True)),
+            group=_take(entry, "group", path, int),
+        )
+        run.check(group_set.size, lambda field, path=path: f"{path}.{field}")
+        runs.append(run)
     names = [r.name for r in runs]
     if len(set(names)) != len(names):
         raise ConfigError("$.runs", "run names must be unique")
@@ -183,7 +210,9 @@ def config_to_doc(config: ExperimentConfig) -> dict:
         "preset": "appendix-b",
         "master_seed": config.master_seed,
         "env": dataclasses.asdict(config.env),
-        "train": dataclasses.asdict(config.train),
+        "train": {
+            k: v for k, v in dataclasses.asdict(config.train).items() if k not in RUN_FIELDS
+        },
         "cb": dataclasses.asdict(config.cb),
         "groups": json.loads(group_set_to_json(config.group_set)),
         "evaluation": {"trials": config.eval_trials, "seed": config.eval_seed},

@@ -6,7 +6,8 @@ shares:
                          shape); byte-identical across re-runs of a config
   trace_<run>-s<seed>.csv  write_trace_csv: one training.TraceRow per episode
   cb_s<seed>.csv         train_predictor: predictor training-loss curves
-  checkpoints/*.json     save_policy (policies), train_predictor (predictors)
+  checkpoints/*.json     save_policy (policies), train_predictor (predictors);
+                         load_policy and load_predictor read them back
   report.json            ExperimentRunner.run: per-run, per-group detail, errors
 """
 
@@ -21,7 +22,7 @@ import typing
 from pathlib import Path
 
 from . import bandit, training, valuenet, warehouse
-from .config import ExperimentConfig, RunSpec, config_to_doc, parse_config
+from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc, parse_config
 from .induction import GroupSet
 
 TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(training.TraceRow))
@@ -91,6 +92,30 @@ def train_predictor(
     return result
 
 
+def _load_params(path: Path, kind: str, widths: tuple[int, int]) -> valuenet.MlpParams:
+    """A checkpoint's net, checked to be of `kind` with (input, output) `widths`."""
+    checkpoint = valuenet.load_checkpoint(path)
+    if checkpoint["kind"] != kind:
+        raise ConfigError(str(path), f"expected a {kind!r} checkpoint, got {checkpoint['kind']!r}")
+    dims = checkpoint["params"].layer_dims
+    if (dims[0], dims[-1]) != widths:
+        raise ConfigError(str(path), f"the net maps {dims[0]} inputs to {dims[-1]} outputs, "
+                                     f"where this config needs {widths[0]} to {widths[1]}")
+    return checkpoint["params"]
+
+
+def load_policy(path: Path, env_config: warehouse.EnvConfig) -> valuenet.MlpParams:
+    """A policy checkpoint's Q-net, checked against the env's action range."""
+    return _load_params(path, "vdn", (valuenet.q_input_dim(env_config.action_max), 1))
+
+
+def load_predictor(path: Path, env_config: warehouse.EnvConfig, group_set: GroupSet):
+    """A predictor checkpoint's net, checked against the env's N and the group count."""
+    return _load_params(
+        path, "cb", (bandit.cb_context_dim(env_config.n_destinations), group_set.size)
+    )
+
+
 def evaluation_to_doc(report: training.EvaluationReport) -> dict:
     return {
         "wall_clock_s": report.wall_clock_s,
@@ -133,12 +158,8 @@ class ExperimentRunner:
 
     def _train_one(self, run: RunSpec, seed: int) -> dict:
         cfg = self.config
-        train_cfg = dataclasses.replace(
-            cfg.train,
-            worst_case_mode=run.mode,
-            fixed_group=(run.group - 1) if run.group is not None else None,
-            episodes=run.episodes,
-        )
+        run.check(cfg.group_set.size, lambda field: f"{run.name}.{field}")
+        train_cfg = run.train_config(cfg.train)
         cb_params = self._ensure_cb(seed) if run.mode == "cb" else None
         t0 = time.perf_counter()
         result = training.train_drmarl(train_cfg, cfg.env, cfg.group_set, seed, cb_params)

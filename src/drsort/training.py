@@ -25,11 +25,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import budget, warehouse
-from .bandit import cb_worst_group, epsilon_at
+from .bandit import cb_worst_group
 from .induction import GroupSet
 from .seeding import stream
 from .valuenet import (
     NET_DTYPE,
+    LearnerConfig,
     MlpParams,
     Optimizer,
     ReplayBuffer,
@@ -49,32 +50,24 @@ WORST_CASE_MODES = ("cb", "exhaustive", "random", "fixed")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    episodes: int = 300
-    learning_rate: float = 1e-3
+class TrainConfig(LearnerConfig):
     gamma: float = 0.95
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.8
-    batch_size: int = 64
-    buffer_capacity: int = 50_000
     target_sync_every: int = 100
     worst_case_mode: str = "random"
     fixed_group: int | None = None  # 0-based
     n_probe: int = 8
-    hidden: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.worst_case_mode not in WORST_CASE_MODES:
             raise ValueError(f"unknown worst_case_mode: {self.worst_case_mode!r}")
         if self.worst_case_mode == "fixed" and self.fixed_group is None:
             raise ValueError("fixed mode requires fixed_group")
-        for name, least in (("episodes", 0), ("batch_size", 1), ("target_sync_every", 1),
-                            ("n_probe", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("target_sync_every", "n_probe"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,6 @@ def train_drmarl(
     if cb_params is not None:
         result.cb_digest_before = params_digest(cb_params)
 
-    total_steps = train_config.episodes * env_config.episode_steps
     step_count = 0
     gradient_steps = 0
     target_era = 0
@@ -265,13 +257,7 @@ def train_drmarl(
         losses: list[float] = []
         epsilon = train_config.epsilon_start
         for t in range(env_config.episode_steps):
-            epsilon = epsilon_at(
-                step_count,
-                total_steps,
-                train_config.epsilon_start,
-                train_config.epsilon_end,
-                train_config.epsilon_decay_fraction,
-            )
+            epsilon = train_config.epsilon(step_count, env_config.episode_steps)
             if explore_rng.random() < epsilon:
                 action = budget.sample_feasible_uniform(
                     n, a_max, env_config.n_chutes, explore_rng

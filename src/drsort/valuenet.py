@@ -24,6 +24,40 @@ from .warehouse import OBS_DIM
 NET_DTYPE = np.float32
 
 
+@dataclass(frozen=True)
+class LearnerConfig:
+    """The recipe both trainers share: Adam on uniform replay under a decaying epsilon."""
+
+    episodes: int = 300
+    learning_rate: float = 1e-3
+    epsilon_start: float = 1.0
+    epsilon_end: float = 0.05
+    epsilon_decay_fraction: float = 0.8
+    batch_size: int = 64
+    buffer_capacity: int = 50_000
+    hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ValueError("epsilon schedule must stay within [0, 1] and be nonincreasing")
+        if not 0.0 <= self.epsilon_decay_fraction <= 1.0:
+            raise ValueError("epsilon_decay_fraction must lie in [0, 1]")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name, least in (("episodes", 0), ("batch_size", 1), ("buffer_capacity", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not all(isinstance(w, int) and w >= 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden}")
+
+    def epsilon(self, step: int, steps_per_episode: int) -> float:
+        """Linear decay from epsilon_start to epsilon_end over the first decay fraction of steps."""
+        horizon = max(int(self.episodes * steps_per_episode * self.epsilon_decay_fraction), 1)
+        if step >= horizon:
+            return self.epsilon_end
+        return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * (step / horizon)
+
+
 @dataclass
 class MlpParams:
     layer_dims: list[int]
@@ -163,7 +197,7 @@ def q_input_dim(a_max: int, obs_dim: int = OBS_DIM) -> int:
     return obs_dim + a_max + 1
 
 
-def default_q_dims(a_max: int, hidden: tuple[int, int] = (64, 64)) -> list[int]:
+def default_q_dims(a_max: int, hidden: tuple[int, ...] = LearnerConfig.hidden) -> list[int]:
     return [q_input_dim(a_max), *hidden, 1]
 
 
@@ -301,8 +335,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._items: list = []
         self._cursor = 0

@@ -100,12 +100,20 @@ class TestChooseGroup:
 
 
 class TestEpsilonAt:
+    # LearnerConfig.epsilon over 10 episodes of 10 steps: 100 steps in all
+    @staticmethod
+    def epsilon(step, fraction):
+        learner = valuenet.LearnerConfig(
+            episodes=10, epsilon_start=1.0, epsilon_end=0.05, epsilon_decay_fraction=fraction
+        )
+        return learner.epsilon(step, 10)
+
     def test_endpoints(self):
-        assert bandit.epsilon_at(0, 100, 1.0, 0.05, 0.8) == 1.0
-        assert bandit.epsilon_at(80, 100, 1.0, 0.05, 0.8) == 0.05
-        assert bandit.epsilon_at(100, 100, 1.0, 0.05, 0.8) == 0.05
-        assert bandit.epsilon_at(40, 100, 1.0, 0.05, 0.8) == pytest.approx(0.525)
+        assert self.epsilon(0, 0.8) == 1.0
+        assert self.epsilon(80, 0.8) == 0.05
+        assert self.epsilon(100, 0.8) == 0.05
+        assert self.epsilon(40, 0.8) == pytest.approx(0.525)
 
     def test_fraction_zero_decays_after_the_first_step(self):
-        assert bandit.epsilon_at(0, 100, 1.0, 0.05, 0.0) == 1.0
-        assert bandit.epsilon_at(1, 100, 1.0, 0.05, 0.0) == 0.05
+        assert self.epsilon(0, 0.0) == 1.0
+        assert self.epsilon(1, 0.0) == 0.05

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from drsort import cli, valuenet, warehouse
+from drsort import bandit, cli, valuenet, warehouse
 from drsort.seeding import stream
 
 
@@ -11,11 +11,25 @@ def run(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-def write_policy(path):
-    params = valuenet.init_mlp(valuenet.default_q_dims(warehouse.EnvConfig().action_max),
+def write_policy(path, env=warehouse.EnvConfig()):
+    params = valuenet.init_mlp(valuenet.default_q_dims(env.action_max),
                                stream(1, "test/cli-q"), dtype=valuenet.NET_DTYPE)
     valuenet.save_checkpoint(path, params, kind="vdn")
     return path
+
+
+def write_predictor(path):
+    params = valuenet.init_mlp(bandit.default_cb_dims(warehouse.EnvConfig().n_destinations, 9),
+                               stream(1, "test/cli-cb"), dtype=valuenet.NET_DTYPE)
+    valuenet.save_checkpoint(path, params, kind="cb")
+    return path
+
+
+CHECKPOINTS = {
+    "policy": write_policy,
+    "predictor": write_predictor,
+    "main-policy": lambda path: write_policy(path, warehouse.main_formulation_config()),
+}
 
 
 def test_verify_passes(capsys):
@@ -84,6 +98,41 @@ def test_a_policy_checkpoint_under_random_exploration_exits_2(capsys, tmp_path):
                     "--policy-checkpoint", checkpoint, "--out", tmp_path / "out")
     assert code == cli.EXIT_CONFIG
     assert "--policy-checkpoint" in err and "'random'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, checkpoint, message",
+    [
+        (["train", "--mode", "cb", "--episodes", 1, "--trace", "--cb-checkpoint"], "policy",
+         "expected a 'cb' checkpoint, got 'vdn'"),
+        (["cb-train", "--episodes", 1, "--policy-checkpoint"], "predictor",
+         "expected a 'vdn' checkpoint, got 'cb'"),
+        (["eval", "--checkpoint"], "predictor", "expected a 'vdn' checkpoint, got 'cb'"),
+        # a main-formulation policy (action_max 10) under the appendix-B preset (action_max 1)
+        (["eval", "--checkpoint"], "main-policy",
+         f"maps {warehouse.OBS_DIM + 11} inputs to 1 outputs, "
+         f"where this config needs {warehouse.OBS_DIM + 2} to 1"),
+    ],
+    ids=["train-cb-on-a-policy", "cb-train-on-a-predictor", "eval-of-a-predictor",
+         "eval-of-a-main-formulation-policy"],
+)
+def test_a_checkpoint_of_the_wrong_kind_or_widths_exits_2(
+    capsys, tmp_path, command, checkpoint, message
+):
+    path = CHECKPOINTS[checkpoint](tmp_path / "checkpoint.json")
+    code, err = run(capsys, *command, path, "--seed", 1, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_predictor_checkpoint_outside_cb_mode_exits_2(capsys, tmp_path):
+    code, err = run(capsys, "train", "--mode", "random", "--cb-checkpoint",
+                    tmp_path / "nonexistent.json", "--episodes", 1, "--seed", 1,
+                    "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "--cb-checkpoint: random mode reads no predictor" in err
     assert not (tmp_path / "out").exists()
 
 

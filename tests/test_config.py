@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -55,6 +56,18 @@ def with_run(run, index=1):
     return doc
 
 
+LEARNER_ERRORS = [
+    ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+    ({"learning_rate": -1}, "learning_rate must be > 0"),
+    ({"epsilon_start": 0.5, "epsilon_end": 0.6}, "nonincreasing"),
+    ({"epsilon_end": 2}, "within [0, 1]"),
+    ({"epsilon_end": -0.1}, "within [0, 1]"),
+    ({"epsilon_decay_fraction": -1}, "epsilon_decay_fraction must lie in [0, 1]"),
+    ({"buffer_capacity": 0}, "buffer_capacity must be >= 1"),
+    ({"hidden": [0, 4]}, "hidden widths must be integers >= 1"),
+]
+
+
 @pytest.mark.parametrize(
     "doc, path, message",
     [
@@ -87,6 +100,13 @@ def with_run(run, index=1):
         (minimal_doc(evaluation={"trials": 0, "seed": 3}), "$.evaluation.trials", ">= 1"),
         (with_run({"name": "x", "mode": "random", "group": 3, "episodes": 1, "seeds": [1]}),
          "$.runs[1].group", "random mode takes no group"),
+        *[(minimal_doc(**{section: learner}), f"$.{section}", message)
+          for section in ("train", "cb") for learner, message in LEARNER_ERRORS],
+        (minimal_doc(train={"worst_case_mode": "fixed"}), "$.train.worst_case_mode",
+         "unknown field"),
+        (minimal_doc(train={"fixed_group": 4}), "$.train.fixed_group", "unknown field"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [3, 3]}),
+         "$.runs[1].seeds", "list of distinct integers"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):
@@ -94,3 +114,24 @@ def test_errors_name_the_offending_path(doc, path, message):
         parse(doc)
     assert info.value.path == path
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("section", ["env", "train", "cb"])
+def test_every_config_field_is_settable_or_owned_by_the_run(section):
+    # a field that the document sets and every run then overwrites would be a dead key
+    base = getattr(parse(minimal_doc()), section)
+    names = {f.name for f in dataclasses.fields(base)}
+    if section == "train":
+        trained = config.RunSpec("r", "fixed", 0, (1,), group=2).train_config(base)
+        owned = {name for name in names if getattr(trained, name) != getattr(base, name)}
+        # drsort train reads $.train.episodes when --episodes is omitted
+        assert owned == {"episodes", *config.RUN_FIELDS}
+        assert trained.fixed_group == 1
+    for name in names:
+        value = getattr(base, name)
+        doc = minimal_doc(**{section: {name: list(value) if isinstance(value, tuple) else value}})
+        if section == "train" and name in config.RUN_FIELDS:
+            with pytest.raises(config.ConfigError, match="unknown field"):
+                parse(doc)
+        else:
+            assert getattr(parse(doc), section) == base
