@@ -111,7 +111,7 @@ def cb_update(
     """
     if not batch:
         raise ValueError("cb_update requires a nonempty batch")
-    contexts = np.stack([t.context for t in batch])
+    contexts = np.concatenate([t.context for t in batch]).reshape(len(batch), -1)
     groups = np.array([t.group for t in batch])
     targets = np.array([t.observed_reward for t in batch])
     preds, cache = mlp_forward_cached(params, contexts)

@@ -52,7 +52,8 @@ class RunSpec:
         if self.episodes < 0:
             raise ConfigError(at("episodes"), "must be >= 0")
         seeds = self.seeds
-        if not seeds or not all(isinstance(s, int) for s in seeds) or len(set(seeds)) < len(seeds):
+        # type(), not isinstance(): a JSON true is a bool, which isinstance counts as an int
+        if not seeds or not all(type(s) is int for s in seeds) or len(set(seeds)) < len(seeds):
             raise ConfigError(at("seeds"), "must be a nonempty list of distinct integers")
         if self.mode not in WORST_CASE_MODES:
             raise ConfigError(at("mode"), f"unknown mode {self.mode!r}")
@@ -91,6 +92,8 @@ def _take(doc: dict, key: str, path: str, kind, default=None, required: bool = F
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     value = doc[key]
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got bool")
     if kind is float and isinstance(value, int):
         value = float(value)
     if kind is not None and not isinstance(value, kind):
@@ -112,6 +115,10 @@ def _dataclass_overrides(cls, base, doc: dict, path: str, exclude=()):
     for key, value in doc.items():
         if isinstance(value, list):
             value = tuple(value)
+        # no config field takes a boolean, and bool would pass the int checks
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(item, bool) for item in items):
+            raise ConfigError(f"{path}.{key}", "expected a number, got bool")
         updates[key] = value
     try:
         return dataclasses.replace(base, **updates)

@@ -93,8 +93,11 @@ def train_predictor(
 
 
 def _load_params(path: Path, kind: str, widths: tuple[int, int]) -> valuenet.MlpParams:
-    """A checkpoint's net, checked to be of `kind` with (input, output) `widths`."""
-    checkpoint = valuenet.load_checkpoint(path)
+    """A checkpoint's net, checked to be complete and of `kind` with (input, output) `widths`."""
+    try:
+        checkpoint = valuenet.load_checkpoint(path)
+    except valuenet.CheckpointError as exc:
+        raise ConfigError(str(path), str(exc)) from exc
     if checkpoint["kind"] != kind:
         raise ConfigError(str(path), f"expected a {kind!r} checkpoint, got {checkpoint['kind']!r}")
     dims = checkpoint["params"].layer_dims
@@ -183,6 +186,8 @@ class ExperimentRunner:
             "group": run.group,
             "episodes": run.episodes,
             "train_wall_clock_s": train_seconds,
+            "gradient_steps": result.gradient_steps,
+            "target_syncs": result.target_syncs,
             "cb_digest_before": result.cb_digest_before,
             "cb_digest_after": result.cb_digest_after,
             "trace": trace_path.name,

@@ -88,6 +88,8 @@ class TrainResult:
     trace: list[TraceRow] = field(default_factory=list)
     cb_digest_before: str = ""
     cb_digest_after: str = ""
+    gradient_steps: int = 0
+    target_syncs: int = 0
 
 
 def probe_group_reward(
@@ -160,7 +162,9 @@ def _bootstrap_values(
     """max_a' joint target values, memoized per target-network era."""
     stale = [t for t in batch if t.bootstrap_era != era and not t.terminal]
     if stale:
-        next_obs = np.stack([t.next_observations for t in stale])
+        next_obs = np.concatenate([t.next_observations for t in stale]).reshape(
+            len(stale), *stale[0].next_observations.shape
+        )
         tables = action_value_table_batch(target_params, next_obs, a_max)
         values = budget.max_joint_value_batch(tables, budget_limit)
         for transition, value in zip(stale, values):
@@ -182,15 +186,15 @@ def _gradient_step(
 ) -> float:
     """One minibatch TD regression step; returns the batch loss."""
     n_agents = batch[0].observations.shape[0]
-    obs = np.stack([t.observations for t in batch])
-    actions = np.stack([t.action for t in batch])
+    obs = np.concatenate([t.observations for t in batch])
+    actions = np.concatenate([t.action for t in batch])
     rewards = np.array([t.reward for t in batch])
 
     bootstrap = _bootstrap_values(
         target_params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
     targets = rewards + gamma * bootstrap
-    rows = q_inputs(obs.reshape(-1, obs.shape[2]), actions.reshape(-1), a_max, params.dtype)
+    rows = q_inputs(obs, actions, a_max, params.dtype)
     preds, cache = mlp_forward_cached(params, rows)
     locals_ = preds[:, 0].reshape(len(batch), n_agents)
     joint = np.zeros(len(batch))
@@ -323,6 +327,8 @@ def train_drmarl(
         )
     if cb_params is not None:
         result.cb_digest_after = params_digest(cb_params)
+    result.gradient_steps = gradient_steps
+    result.target_syncs = target_era
     return result
 
 

@@ -6,13 +6,19 @@ action encoding, and the joint action value is the sum of local values,
 accumulated left-to-right by agent index. Hidden layers use ReLU, the
 output is linear. The trainers build their networks in NET_DTYPE; the
 float64 default of init_mlp serves the finite-difference gradient checks.
+
+Each net's parameters live in one contiguous vector (MlpParams.flat), and
+the per-layer weights and biases are views into it, so the Adam step runs
+once over the whole vector rather than once per array. Adam is purely
+element-wise, so one pass over the concatenation is bit-equal to a pass
+per array.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +66,28 @@ class LearnerConfig:
 
 @dataclass
 class MlpParams:
+    """An MLP's parameters, stored as one contiguous vector.
+
+    `flat` holds w0, b0, w1, b1, ... in that order, each weight matrix
+    row-major; weights[l] (d_in, d_out) and biases[l] (d_out,) are views
+    into it, so an in-place write to either shows in `flat` and the other
+    way round. Build one with pack_mlp, or wrap a vector of exactly the
+    length that layer_dims needs.
+    """
+
     layer_dims: list[int]
-    weights: list[np.ndarray]  # weights[l]: (d_in, d_out)
-    biases: list[np.ndarray]  # biases[l]: (d_out,)
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = [], []
+        start = 0
+        for d_in, d_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            stop = start + d_in * d_out
+            self.weights.append(self.flat[start:stop].reshape(d_in, d_out))
+            self.biases.append(self.flat[stop : stop + d_out])
+            start = stop + d_out
 
     @property
     def n_layers(self) -> int:
@@ -70,18 +95,44 @@ class MlpParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.flat.dtype
+
+
+def pack_mlp(layer_dims, weights, biases, dtype) -> MlpParams:
+    """MlpParams holding copies of per-layer arrays, checked against layer_dims.
+
+    weights[l] must have shape (d_in, d_out) or be that matrix raveled, as a
+    checkpoint stores it, and biases[l] shape (d_out,). A ValueError names
+    the first field that breaks this.
+    """
+    layer_dims = [int(d) for d in layer_dims]
+    if len(layer_dims) < 2:
+        raise ValueError("need at least input and output dims")
+    n_layers = len(layer_dims) - 1
+    for name, arrays in (("weights", weights), ("biases", biases)):
+        if len(arrays) != n_layers:
+            raise ValueError(f"{name} holds {len(arrays)} layers, where layer_dims "
+                             f"{layer_dims} needs {n_layers}")
+    parts = []
+    for layer, (d_in, d_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        for name, values, shape in (
+            ("weights", weights[layer], (d_in, d_out)),
+            ("biases", biases[layer], (d_out,)),
+        ):
+            array = np.asarray(values, dtype=dtype)
+            if array.shape not in (shape, (math.prod(shape),)):
+                raise ValueError(f"{name}[{layer}] has shape {array.shape}, expected {shape}")
+            parts.append(array.ravel())
+    return MlpParams(layer_dims=layer_dims, flat=np.concatenate(parts))
 
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator, dtype=np.float64) -> MlpParams:
     """He-scaled normal weights, zero biases."""
-    if len(layer_dims) < 2:
-        raise ValueError("need at least input and output dims")
     weights, biases = [], []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)).astype(dtype))
         biases.append(np.zeros(d_out, dtype=dtype))
-    return MlpParams(layer_dims=list(layer_dims), weights=weights, biases=biases)
+    return pack_mlp(layer_dims, weights, biases, dtype)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -135,41 +186,49 @@ def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarr
 
 @dataclass
 class Optimizer:
-    """Adam over MlpParams."""
+    """Adam over MlpParams, as one pass over the flat parameter vector.
+
+    `m` and `v` are the moment vectors in the layout of MlpParams.flat,
+    made on the first step. Every operation of the update is element-wise,
+    and each runs on the same operands in the same order as it would on
+    each layer's arrays separately, so the result is bit-equal to a
+    per-array Adam; only the number of numpy calls differs.
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
-
-    def _ensure_state(self, params: MlpParams) -> None:
-        if not self.m_w:
-            self.m_w = [np.zeros_like(w) for w in params.weights]
-            self.v_w = [np.zeros_like(w) for w in params.weights]
-            self.m_b = [np.zeros_like(b) for b in params.biases]
-            self.v_b = [np.zeros_like(b) for b in params.biases]
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def apply(self, params: MlpParams, grads_w, grads_b) -> None:
-        self._ensure_state(params)
+        grad = np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
+        if self.m is None:
+            self.m = np.zeros_like(params.flat)
+            self.v = np.zeros_like(params.flat)
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for layer in range(params.n_layers):
-            for value, grad, m, v in (
-                (params.weights[layer], grads_w[layer], self.m_w[layer], self.v_w[layer]),
-                (params.biases[layer], grads_b[layer], self.m_b[layer], self.v_b[layer]),
-            ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                value -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m, v = self.m, self.v
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        scratch = np.multiply(grad, 1.0 - self.beta1)
+        m *= self.beta1
+        m += scratch
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        v *= self.beta2
+        v += scratch
+        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(m, bias1, out=scratch)
+        scratch *= self.learning_rate
+        np.divide(v, bias2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += self.eps
+        scratch /= grad
+        params.flat -= scratch
 
 
 def mlp_gradient_step(
@@ -184,8 +243,8 @@ def mlp_gradient_step(
 
 
 def target_sync(params: MlpParams) -> MlpParams:
-    """Deep copy with no aliasing against the live parameters."""
-    return copy.deepcopy(params)
+    """A copy of the parameters that shares no memory with the live ones."""
+    return MlpParams(layer_dims=list(params.layer_dims), flat=params.flat.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -397,31 +456,36 @@ def save_checkpoint(
         json.dump(doc, fh)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint lacks a field or holds a field of the wrong type or shape."""
+
+
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored."""
+    """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored.
+
+    A missing field, or weights and biases that do not match layer_dims,
+    raise CheckpointError naming the field.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint format version")
-    dims = [int(d) for d in doc["layer_dims"]]
-    dtype = np.dtype(doc.get("dtype", "float64"))
-    weights = [
-        np.asarray(flat, dtype=dtype).reshape(d_in, d_out)
-        for flat, d_in, d_out in zip(doc["weights"], dims[:-1], dims[1:])
-    ]
-    biases = [np.asarray(b, dtype=dtype) for b in doc["biases"]]
+    try:
+        kind = doc["kind"]
+        params = pack_mlp(doc["layer_dims"], doc["weights"], doc["biases"],
+                          np.dtype(doc.get("dtype", "float64")))
+    except KeyError as exc:
+        raise CheckpointError(f"missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(str(exc)) from exc
     return {
-        "kind": doc["kind"],
-        "params": MlpParams(layer_dims=dims, weights=weights, biases=biases),
+        "kind": kind,
+        "params": params,
         "config_hash": doc.get("config_hash", ""),
         "meta": doc.get("meta", {}),
     }
 
 
 def params_digest(params: MlpParams) -> str:
-    """Stable content hash of the parameter values."""
-    hasher = hashlib.sha256()
-    for w, b in zip(params.weights, params.biases):
-        hasher.update(np.ascontiguousarray(w).tobytes())
-        hasher.update(np.ascontiguousarray(b).tobytes())
-    return hasher.hexdigest()
+    """Stable content hash of the parameter values (w0, b0, w1, b1, ... in order)."""
+    return hashlib.sha256(params.flat.tobytes()).hexdigest()

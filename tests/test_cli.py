@@ -127,6 +127,25 @@ def test_a_checkpoint_of_the_wrong_kind_or_widths_exits_2(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
+        (lambda doc: doc["weights"].pop(), "weights holds 2 layers, where layer_dims"),
+    ],
+    ids=["missing-key", "short-weight-list"],
+)
+def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path, edit, message):
+    path = write_policy(tmp_path / "policy.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = run(capsys, "eval", "--checkpoint", path, "--seed", 1, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_predictor_checkpoint_outside_cb_mode_exits_2(capsys, tmp_path):
     code, err = run(capsys, "train", "--mode", "random", "--cb-checkpoint",
                     tmp_path / "nonexistent.json", "--episodes", 1, "--seed", 1,

@@ -116,6 +116,33 @@ def test_errors_name_the_offending_path(doc, path, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [True]}),
+         "$.runs[1].seeds"),
+        (with_run({"name": "x", "mode": "random", "episodes": True, "seeds": [1]}),
+         "$.runs[1].episodes"),
+        (with_run({"name": "x", "mode": "fixed", "group": True, "episodes": 1, "seeds": [1]}),
+         "$.runs[1].group"),
+        (minimal_doc(train={"episodes": True}), "$.train.episodes"),
+        (minimal_doc(train={"gamma": True}), "$.train.gamma"),
+        (minimal_doc(train={"hidden": [64, True]}), "$.train.hidden"),
+        (minimal_doc(cb={"learning_rate": False}), "$.cb.learning_rate"),
+        (minimal_doc(env={"n_chutes": True}), "$.env.n_chutes"),
+        (minimal_doc(master_seed=True), "$.master_seed"),
+        (minimal_doc(evaluation={"trials": True, "seed": 3}), "$.evaluation.trials"),
+    ],
+    ids=["run-seeds", "run-episodes", "run-group", "train-episodes", "train-gamma",
+         "train-hidden", "cb-learning-rate", "env-n-chutes", "master-seed", "eval-trials"],
+)
+def test_a_json_boolean_is_not_a_number(doc, path):
+    with pytest.raises(config.ConfigError) as info:
+        parse(doc)
+    assert info.value.path == path
+    assert "bool" in str(info.value) or "integers" in str(info.value)
+
+
 @pytest.mark.parametrize("section", ["env", "train", "cb"])
 def test_every_config_field_is_settable_or_owned_by_the_run(section):
     # a field that the document sets and every run then overwrites would be a dead key

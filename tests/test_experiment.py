@@ -45,6 +45,12 @@ def test_matrix_runs_clean_and_leaves_the_predictor_frozen(canonical):
         ("drmarl-cb", 1), ("drmarl-cb", 2), ("drmarl-random", 1),
         ("marl-center", 1), ("marl-center", 2),
     ]
+    cfg = tiny_config([CENTER, CB, RANDOM])
+    # a step follows every push once the buffer holds a batch: 2 x 10 - 8 + 1
+    steps = CENTER["episodes"] * cfg.env.episode_steps - cfg.train.batch_size + 1
+    assert {(d["gradient_steps"], d["target_syncs"]) for d in report["runs"]} == {
+        (steps, steps // cfg.train.target_sync_every)
+    }
     cb_docs = [d for d in report["runs"] if d["mode"] == "cb"]
     assert all(d["cb_digest_before"] and d["cb_digest_before"] == d["cb_digest_after"]
                for d in cb_docs)

@@ -139,6 +139,9 @@ class TestTrainDrmarl:
         other = training.train_drmarl(train, env, group_set, seed=22)
         assert params_digest(first.params) == params_digest(second.params)
         assert params_digest(first.params) != params_digest(other.params)
+        # a step follows every push once the buffer holds a batch
+        steps = train.episodes * env.episode_steps - train.batch_size + 1
+        assert (first.gradient_steps, first.target_syncs) == (steps, steps // 5) == (23, 4)
 
 
 def scalar_probe_estimates(state, action, group_set, env_config, rng, n_probe):

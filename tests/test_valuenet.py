@@ -123,6 +123,106 @@ class TestGradientStep:
         assert np.array_equal(grads_w[1], cache[1].T @ grad)
 
 
+class PerArrayAdam:
+    """Adam run array by array, the per-layer loop that the flat Optimizer.apply replaced."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.step_count = 0
+        self.m_w = [np.zeros_like(w) for w in params.weights]
+        self.v_w = [np.zeros_like(w) for w in params.weights]
+        self.m_b = [np.zeros_like(b) for b in params.biases]
+        self.v_b = [np.zeros_like(b) for b in params.biases]
+
+    def apply(self, params, grads_w, grads_b):
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - self.beta1**t
+        bias2 = 1.0 - self.beta2**t
+        for layer in range(params.n_layers):
+            for value, grad, m, v in (
+                (params.weights[layer], grads_w[layer], self.m_w[layer], self.v_w[layer]),
+                (params.biases[layer], grads_b[layer], self.m_b[layer], self.v_b[layer]),
+            ):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * grad
+                v *= self.beta2
+                v += (1.0 - self.beta2) * grad * grad
+                value -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+    def flat(self, name):
+        """The moment vector `name` ("m" or "v") in the layout of MlpParams.flat."""
+        by_w, by_b = getattr(self, f"{name}_w"), getattr(self, f"{name}_b")
+        return np.concatenate([a.ravel() for pair in zip(by_w, by_b) for a in pair])
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize(
+        "dims, rows, dtype",
+        [([7, 64, 64, 1], 1280, np.float32), ([120, 64, 64, 9], 64, np.float32),
+         ([5, 16, 3], 32, np.float64)],
+        ids=["q-net", "cb-net", "float64"],
+    )
+    def test_equals_the_per_array_loop_bit_for_bit(self, dims, rows, dtype):
+        rng = stream(26, f"test/flat-adam/{dims}")
+        params = valuenet.init_mlp(dims, rng, dtype=dtype)
+        reference = valuenet.target_sync(params)
+        initial = params.flat.copy()
+        flat_adam = valuenet.Optimizer(learning_rate=1e-2)
+        oracle = PerArrayAdam(reference, learning_rate=1e-2)
+        for _ in range(60):
+            x = rng.normal(size=(rows, dims[0])).astype(dtype)
+            out, cache = valuenet.mlp_forward_cached(params, x)
+            grad_out = rng.normal(size=out.shape).astype(dtype) / rows
+            grads_w, grads_b = valuenet.mlp_backward(params, cache, grad_out)
+            flat_adam.apply(params, grads_w, grads_b)
+            oracle.apply(reference, grads_w, grads_b)
+        assert valuenet.params_digest(params) == valuenet.params_digest(reference)
+        assert params.flat.dtype == flat_adam.m.dtype == flat_adam.v.dtype == dtype
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for name in ("m", "v"):
+            assert np.array_equal(getattr(flat_adam, name).view(bits), oracle.flat(name).view(bits))
+        assert not np.array_equal(params.flat, initial)
+
+
+class TestFlatStorage:
+    def assert_views_of_flat(self, params):
+        for array in (*params.weights, *params.biases):
+            assert np.shares_memory(array, params.flat)
+        sizes = [a.size for pair in zip(params.weights, params.biases) for a in pair]
+        assert sum(sizes) == params.flat.size
+
+    def test_init_load_and_sync_build_views_into_one_vector(self, tmp_path):
+        params = valuenet.init_mlp([4, 8, 3], stream(27, "flat"), dtype=np.float32)
+        self.assert_views_of_flat(params)
+        path = tmp_path / "ckpt.json"
+        valuenet.save_checkpoint(path, params, kind="cb")
+        self.assert_views_of_flat(valuenet.load_checkpoint(path)["params"])
+        self.assert_views_of_flat(valuenet.target_sync(params))
+
+    def test_layout_is_w0_b0_w1_b1_row_major(self):
+        params = valuenet.init_mlp([2, 3, 1], stream(28, "layout"))
+        expected = np.concatenate([
+            params.weights[0].ravel(), params.biases[0], params.weights[1].ravel(),
+            params.biases[1],
+        ])
+        assert np.array_equal(params.flat, expected)
+
+    def test_a_write_to_a_view_shows_in_flat(self):
+        params = valuenet.init_mlp([3, 4, 1], stream(29, "write"))
+        params.weights[0][0, 1] = 42.0
+        params.biases[0][2] = -7.0
+        assert params.flat[1] == 42.0
+        assert params.flat[3 * 4 + 2] == -7.0
+
+    def test_a_synced_target_shares_no_memory_with_the_live_params(self):
+        params = valuenet.init_mlp([3, 4, 1], stream(30, "sync"))
+        target = valuenet.target_sync(params)
+        for array in (target.flat, *target.weights, *target.biases):
+            assert not np.shares_memory(array, params.flat)
+        assert valuenet.params_digest(target) == valuenet.params_digest(params)
+
+
 class TestQInputs:
     def test_rows_are_built_in_the_requested_dtype(self):
         rng = stream(22, "rows")
@@ -461,6 +561,33 @@ class TestCheckpoint:
         loaded = valuenet.load_checkpoint(path)
         assert valuenet.params_digest(loaded["params"]) == valuenet.params_digest(params)
         assert (loaded["kind"], loaded["meta"]) == ("cb", {"seed": 4})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
+            (lambda doc: doc.pop("kind"), "missing field 'kind'"),
+            (lambda doc: doc.pop("biases"), "missing field 'biases'"),
+            (lambda doc: doc["weights"].pop(), "weights holds 1 layers"),
+            (lambda doc: doc["weights"][1].pop(), "weights[1] has shape (7,), expected (8, 1)"),
+            (lambda doc: doc["biases"][0].append(0.0), "biases[0] has shape (9,), expected (8,)"),
+            (lambda doc: doc.update(layer_dims=[4]), "need at least input and output dims"),
+            (lambda doc: doc.update(dtype="no-such-type"), "no-such-type"),
+        ],
+        ids=["no-layer-dims", "no-kind", "no-biases", "short-weights", "short-matrix",
+             "long-bias", "one-dim", "bad-dtype"],
+    )
+    def test_a_broken_checkpoint_names_the_field(self, tmp_path, edit, message):
+        import json
+
+        path = tmp_path / "broken.json"
+        valuenet.save_checkpoint(path, valuenet.init_mlp([4, 8, 1], stream(31, "bad")), kind="vdn")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(valuenet.CheckpointError) as info:
+            valuenet.load_checkpoint(path)
+        assert message in str(info.value)
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
