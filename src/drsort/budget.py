@@ -5,6 +5,14 @@ sum_i a_i <= budget and 0 <= a_i <= A_max. This is a multiple-choice
 knapsack with unit weights per action level, solved exactly by dynamic
 programming over (agent, remaining budget) in O(N * budget * A_max).
 
+A stack of B tables is solved together with the batch axis last: the
+suffix table dp has shape (N+1, pad+budget+1, B), so each agent costs
+three numpy calls for the whole stack (a gather, an add and a max over
+the action level), and the reconstruction one (pad+1, B) gather per
+agent. A single table is the B=1 case of the same code. Every dp entry
+is the max over a of one addition tables[k, i, a] + dp[i+1, pad+b-a, k];
+max is exact, so the layout cannot change a value.
+
 Tie-breaking is a frozen contract: among optimal joint actions, the
 lexicographically smallest vector (smaller action first, then smaller
 agent index) is returned. The objective is accumulated right-to-left
@@ -31,23 +39,34 @@ def _check_table(values: np.ndarray, ndims: tuple[int, ...] = (2,)) -> np.ndarra
     return values
 
 
-def _suffix_table(tables: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-    """(dp, pad): dp[k, i, pad + b] = best value of table k's agents i..N-1 with budget b.
+def _suffix_table(tables: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dp, levels) for a (B, N, A+1) stack, with the batch axis last.
+
+    levels[i, a, k] = tables[k, i, a] for a <= pad = min(A, budget) (a
+    strided view: copying it costs more than the strided add saves), and
+    dp[i, pad + b, k] is the best value of table k's agents i..N-1 with
+    budget b; the first `pad` columns hold -inf, so a level above the
+    budget b is never the max. Each agent costs three numpy calls for the
+    whole stack: one gather of dp[i+1] at columns pad + b - a, one in-place
+    add of levels[i], and one max over a, which is an element-wise max of
+    contiguous (budget+1, B) slabs.
 
     Each entry is the max over a of the single addition
-    tables[k, i, a] + dp[k, i+1, pad + b - a]; max is exact, so the entries
-    do not depend on the order the candidates are visited in. The first
-    `pad` columns hold -inf, so a level above the budget b is never the max.
+    tables[k, i, a] + dp[i+1, pad + b - a, k]; max is exact, so the entries
+    depend neither on the layout nor on the order the candidates are
+    visited in.
     """
     n_batch, n_agents, n_actions = tables.shape
     pad = min(n_actions - 1, budget)
-    rest = pad + np.arange(budget + 1)[:, None] - np.arange(pad + 1)[None, :]
-    dp = np.full((n_batch, n_agents + 1, pad + budget + 1), -np.inf)
-    dp[:, n_agents, pad:] = 0.0
+    levels = tables[:, :, : pad + 1].transpose(1, 2, 0)
+    rest = pad + np.arange(budget + 1)[None, :] - np.arange(pad + 1)[:, None]
+    dp = np.full((n_agents + 1, pad + budget + 1, n_batch), -np.inf)
+    dp[n_agents, pad:] = 0.0
     for i in range(n_agents - 1, -1, -1):
-        cand = tables[:, i, None, : pad + 1] + dp[:, i + 1, rest]
-        dp[:, i, pad:] = cand.max(axis=2)
-    return dp, pad
+        cand = dp[i + 1][rest]
+        cand += levels[i, :, None]
+        np.maximum.reduce(cand, axis=0, out=dp[i, pad:])
+    return dp, levels
 
 
 def _binary_argmax(tables: np.ndarray, budget: int) -> np.ndarray:
@@ -82,24 +101,24 @@ def solve_budget_argmax(values: np.ndarray, budget: int) -> np.ndarray:
     if n_actions == 2:
         action = _binary_argmax(tables, budget)
     else:
-        dp, pad = _suffix_table(tables, budget)
-        rows = np.arange(n_batch)[:, None]
-        levels = np.arange(pad + 1)
+        dp, levels = _suffix_table(tables, budget)
+        batch = np.arange(n_batch)
+        level = np.arange(levels.shape[1])[:, None]
         action = np.zeros((n_batch, n_agents), dtype=int)
-        col = np.full((n_batch, 1), pad + budget)  # dp column of the budget left
+        col = np.full(n_batch, dp.shape[1] - 1)  # dp column of the budget left
         for i in range(n_agents):
-            cand = tables[:, i, : pad + 1] + dp[rows, i + 1, col - levels]
+            cand = dp[i + 1][col - level, batch] + levels[i]
             # the smallest level that attains the optimum
-            action[:, i] = (cand == dp[rows, i, col]).argmax(axis=1)
-            col -= action[:, i, None]
+            action[:, i] = (cand == dp[i, col, batch]).argmax(axis=0)
+            col -= action[:, i]
     return action if values.ndim == 3 else action[0]
 
 
 def max_joint_value(values: np.ndarray, budget: int) -> float:
     """Optimal objective value only (no reconstruction)."""
     values = _check_table(values)
-    dp, pad = _suffix_table(values[None], budget)
-    return float(dp[0, 0, pad + budget])
+    dp, _ = _suffix_table(values[None], budget)
+    return float(dp[0, -1, 0])
 
 
 def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
@@ -121,8 +140,8 @@ def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
             top = np.partition(gains, n_agents - budget, axis=1)[:, n_agents - budget:]
             return base + top.sum(axis=1)
         return base + gains.sum(axis=1)
-    dp, pad = _suffix_table(tables, budget)
-    return dp[:, 0, pad + budget]
+    dp, _ = _suffix_table(tables, budget)
+    return dp[0, -1]
 
 
 def joint_value(values: np.ndarray, action: np.ndarray) -> float:

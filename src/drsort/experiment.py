@@ -188,6 +188,9 @@ class ExperimentRunner:
             "train_wall_clock_s": train_seconds,
             "gradient_steps": result.gradient_steps,
             "target_syncs": result.target_syncs,
+            # entry k counts the env steps trained on group k + 1
+            "group_histogram": result.group_counts,
+            "bootstrap_hit_rate": result.bootstrap_hit_rate,
             "cb_digest_before": result.cb_digest_before,
             "cb_digest_after": result.cb_digest_after,
             "trace": trace_path.name,

@@ -90,6 +90,17 @@ class TrainResult:
     cb_digest_after: str = ""
     gradient_steps: int = 0
     target_syncs: int = 0
+    # group_counts[g]: env steps on which the adversary chose group g (0-based)
+    group_counts: list[int] = field(default_factory=list)
+    bootstrap_lookups: int = 0  # non-terminal rows sampled for a TD target
+    bootstrap_recomputes: int = 0  # of those, rows the era memo could not serve
+
+    @property
+    def bootstrap_hit_rate(self) -> float | None:
+        """Share of bootstrap lookups served by the memo; None before the first."""
+        if not self.bootstrap_lookups:
+            return None
+        return 1.0 - self.bootstrap_recomputes / self.bootstrap_lookups
 
 
 def probe_group_reward(
@@ -158,8 +169,8 @@ def _bootstrap_values(
     *,
     budget_limit: int,
     a_max: int,
-) -> np.ndarray:
-    """max_a' joint target values, memoized per target-network era."""
+) -> tuple[np.ndarray, int]:
+    """(max_a' joint target values, rows recomputed), memoized per target-network era."""
     stale = [t for t in batch if t.bootstrap_era != era and not t.terminal]
     if stale:
         next_obs = np.concatenate([t.next_observations for t in stale]).reshape(
@@ -170,7 +181,8 @@ def _bootstrap_values(
         for transition, value in zip(stale, values):
             transition.bootstrap_era = era
             transition.bootstrap_value = float(value)
-    return np.array([0.0 if t.terminal else t.bootstrap_value for t in batch])
+    values = np.array([0.0 if t.terminal else t.bootstrap_value for t in batch])
+    return values, len(stale)
 
 
 def _gradient_step(
@@ -183,14 +195,14 @@ def _gradient_step(
     gamma: float,
     budget_limit: int,
     a_max: int,
-) -> float:
-    """One minibatch TD regression step; returns the batch loss."""
+) -> tuple[float, int]:
+    """One minibatch TD regression step; returns the loss and the rows bootstrapped anew."""
     n_agents = batch[0].observations.shape[0]
     obs = np.concatenate([t.observations for t in batch])
     actions = np.concatenate([t.action for t in batch])
     rewards = np.array([t.reward for t in batch])
 
-    bootstrap = _bootstrap_values(
+    bootstrap, recomputed = _bootstrap_values(
         target_params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
     targets = rewards + gamma * bootstrap
@@ -205,7 +217,7 @@ def _gradient_step(
     grad_joint = 2.0 * errors / len(batch)
     grad_out = np.repeat(grad_joint, n_agents)[:, None]
     mlp_gradient_step(params, cache, grad_out, optimizer)
-    return loss
+    return loss, recomputed
 
 
 def train_drmarl(
@@ -242,7 +254,7 @@ def train_drmarl(
     scale = warehouse.reward_unit(env_config)
     buffer = ReplayBuffer(train_config.buffer_capacity)
 
-    result = TrainResult(params=params)
+    result = TrainResult(params=params, group_counts=[0] * m)
     if cb_params is not None:
         result.cb_digest_before = params_digest(cb_params)
 
@@ -280,6 +292,7 @@ def train_drmarl(
                 fixed_group=train_config.fixed_group,
                 n_probe=train_config.n_probe,
             )
+            result.group_counts[group] += 1
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
             if trace_sink is not None:
@@ -299,12 +312,15 @@ def train_drmarl(
             )
             if len(buffer) >= train_config.batch_size:
                 batch = buffer.sample(train_config.batch_size, replay_rng)
-                losses.append(_gradient_step(
+                loss, recomputed = _gradient_step(
                     params, target_params, optimizer, batch, target_era,
                     gamma=train_config.gamma,
                     budget_limit=env_config.n_chutes,
                     a_max=a_max,
-                ))
+                )
+                losses.append(loss)
+                result.bootstrap_lookups += sum(not t.terminal for t in batch)
+                result.bootstrap_recomputes += recomputed
                 gradient_steps += 1
                 if gradient_steps % train_config.target_sync_every == 0:
                     target_params = target_sync(params)

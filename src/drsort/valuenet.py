@@ -457,23 +457,31 @@ def save_checkpoint(
 
 
 class CheckpointError(ValueError):
-    """A checkpoint lacks a field or holds a field of the wrong type or shape."""
+    """A checkpoint is not a JSON object, or a field is missing or of the wrong type or shape."""
 
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored.
 
-    A missing field, or weights and biases that do not match layer_dims,
-    raise CheckpointError naming the field.
+    A file that is not a JSON object, a missing field, a dtype other than
+    the two that save_checkpoint writes, or weights and biases that do not
+    match layer_dims raise CheckpointError naming the defect.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise CheckpointError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError("the top level is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError("unsupported checkpoint format version")
+    dtype = doc.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise CheckpointError(f"dtype {dtype!r} is not 'float32' or 'float64'")
     try:
         kind = doc["kind"]
-        params = pack_mlp(doc["layer_dims"], doc["weights"], doc["biases"],
-                          np.dtype(doc.get("dtype", "float64")))
+        params = pack_mlp(doc["layer_dims"], doc["weights"], doc["biases"], np.dtype(dtype))
     except KeyError as exc:
         raise CheckpointError(f"missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -124,6 +124,21 @@ class TestBatchedArgmax:
                     assert value == budget.joint_value(table, action)
                     assert value == budget.max_joint_value(table, m)
 
+    def test_a_stack_of_100_main_formulation_tables_matches_the_2d_calls(self):
+        # the shape main-dp evaluation solves: ~100 episodes x 20 agents x 11 levels
+        rng = stream(13, "stack100")
+        stack = np.round(rng.normal(size=(100, 20, 11)), 1)
+        stack[:, :, 6] = stack[:, :, 5]  # tied levels within an agent
+        stack[:, 9] = stack[:, 4]  # tied agents
+        stack[50:] = stack[:50]  # repeated tables
+        for m in (0, 3, 10, 25):
+            actions = budget.solve_budget_argmax(stack, m)
+            values = budget.max_joint_value_batch(stack, m)
+            for table, action, value in zip(stack, actions, values):
+                assert np.array_equal(action, budget.solve_budget_argmax(table, m))
+                assert value.tobytes() == np.float64(budget.max_joint_value(table, m)).tobytes()
+                assert value == budget.joint_value(table, action)
+
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError, match="2-D"):
             budget.solve_budget_argmax(np.zeros((1, 2, 3, 2)), 1)

@@ -132,8 +132,9 @@ def test_a_checkpoint_of_the_wrong_kind_or_widths_exits_2(
     [
         (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
         (lambda doc: doc["weights"].pop(), "weights holds 2 layers, where layer_dims"),
+        (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
     ],
-    ids=["missing-key", "short-weight-list"],
+    ids=["missing-key", "short-weight-list", "int8-dtype"],
 )
 def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path, edit, message):
     path = write_policy(tmp_path / "policy.json")
@@ -143,6 +144,25 @@ def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path,
     code, err = run(capsys, "eval", "--checkpoint", path, "--seed", 1, "--out", tmp_path / "out")
     assert code == cli.EXIT_CONFIG
     assert f"config error: {path}: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format_version": 1,', "not valid JSON: "),
+        ("[1]", "the top level is not a JSON object"),
+    ],
+    ids=["truncated-json", "top-level-list"],
+)
+def test_a_checkpoint_that_is_not_a_json_object_exits_2_naming_the_file(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "policy.json"
+    path.write_text(text, encoding="utf-8")
+    code, err = run(capsys, "eval", "--checkpoint", path, "--seed", 1, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: {message}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -51,6 +51,15 @@ def test_matrix_runs_clean_and_leaves_the_predictor_frozen(canonical):
     assert {(d["gradient_steps"], d["target_syncs"]) for d in report["runs"]} == {
         (steps, steps // cfg.train.target_sync_every)
     }
+    env_steps = CENTER["episodes"] * cfg.env.episode_steps
+    for doc in report["runs"]:
+        assert len(doc["group_histogram"]) == cfg.group_set.size
+        assert sum(doc["group_histogram"]) == env_steps
+        assert 0.0 <= doc["bootstrap_hit_rate"] <= 1.0
+        if doc["mode"] == "fixed":
+            expected = [0] * cfg.group_set.size
+            expected[doc["group"] - 1] = env_steps
+            assert doc["group_histogram"] == expected
     cb_docs = [d for d in report["runs"] if d["mode"] == "cb"]
     assert all(d["cb_digest_before"] and d["cb_digest_before"] == d["cb_digest_after"]
                for d in cb_docs)

@@ -402,9 +402,10 @@ def transition(next_observations, *, reward=0.0, terminal=False):
 
 
 def bootstrap_values(params, batch, era=0, *, budget_limit=2, a_max=1):
-    return training._bootstrap_values(
+    values, _ = training._bootstrap_values(
         params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
+    return values
 
 
 class TestTdTarget:
@@ -448,6 +449,16 @@ class TestTdTarget:
         assert np.array_equal(recomputed[:4], fresh)
         assert not np.array_equal(recomputed[:4], first[:4])
         assert recomputed[4] == first[4] == 0.0
+
+    def test_bootstrap_counts_the_rows_it_recomputes(self):
+        rng = stream(15, "memo-count")
+        batch = [transition(rng.uniform(size=(3, valuenet.OBS_DIM))) for _ in range(3)]
+        batch.append(transition(rng.uniform(size=(3, valuenet.OBS_DIM)), terminal=True))
+        counts = [training._bootstrap_values(self.params, batch[:k], era, budget_limit=2,
+                                             a_max=self.a_max)[1]
+                  for k, era in ((2, 0), (4, 0), (4, 0), (4, 1))]
+        # the terminal row is never recomputed; a memoised row only in a new era
+        assert counts == [2, 1, 0, 3]
 
 
 class TestReplayBuffer:
@@ -573,9 +584,10 @@ class TestCheckpoint:
             (lambda doc: doc["biases"][0].append(0.0), "biases[0] has shape (9,), expected (8,)"),
             (lambda doc: doc.update(layer_dims=[4]), "need at least input and output dims"),
             (lambda doc: doc.update(dtype="no-such-type"), "no-such-type"),
+            (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
         ],
         ids=["no-layer-dims", "no-kind", "no-biases", "short-weights", "short-matrix",
-             "long-bias", "one-dim", "bad-dtype"],
+             "long-bias", "one-dim", "bad-dtype", "int8-dtype"],
     )
     def test_a_broken_checkpoint_names_the_field(self, tmp_path, edit, message):
         import json
