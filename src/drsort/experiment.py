@@ -159,7 +159,7 @@ class ExperimentRunner:
             self._cb_cache[seed] = result.params
         return self._cb_cache[seed]
 
-    def _train_one(self, run: RunSpec, seed: int) -> dict:
+    def _train_one(self, run: RunSpec, seed: int, inductions) -> dict:
         cfg = self.config
         run.check(cfg.group_set.size, lambda field: f"{run.name}.{field}")
         train_cfg = run.train_config(cfg.train)
@@ -171,7 +171,8 @@ class ExperimentRunner:
             self._marl_anchor[seed] = result.params
 
         evaluation = training.evaluate_policy(
-            result.params, cfg.env, cfg.group_set, cfg.eval_trials, cfg.eval_seed
+            result.params, cfg.env, cfg.group_set, cfg.eval_trials, cfg.eval_seed,
+            inductions=inductions,
         )
         tag = f"{run.name}-s{seed}"
         trace_path = self.out / f"trace_{tag}.csv"
@@ -206,9 +207,14 @@ class ExperimentRunner:
         # both kinds. A seed's CB exploration then anchors on the first fixed
         # run in the config that lists that seed, wherever its cb runs stand.
         jobs.sort(key=lambda job: job[0].mode != "fixed")
+        # every policy is evaluated on the same episodes, so they are drawn once
+        cfg = self.config
+        inductions = training.draw_evaluation_inductions(
+            cfg.env, cfg.group_set, cfg.eval_trials, cfg.eval_seed
+        )
         for run, seed in jobs:
             try:
-                self.run_docs.append(self._train_one(run, seed))
+                self.run_docs.append(self._train_one(run, seed, inductions))
             except Exception as exc:  # noqa: BLE001 - isolate per-run failures
                 self.errors.append(
                     {

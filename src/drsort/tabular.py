@@ -48,8 +48,12 @@ class TabularMdp:
             raise ValueError("rewards must have shape (m, S, A)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if transitions.ndim not in (3, 4):
-            raise ValueError("transitions must have shape (S, A, S) or (m, S, A, S)")
+        m, s, a = rewards.shape
+        if transitions.shape not in ((s, a, s), (m, s, a, s)):
+            raise ValueError(
+                f"transitions have shape {transitions.shape}; rewards of shape "
+                f"{rewards.shape} need {(s, a, s)} or {(m, s, a, s)}"
+            )
         row_sums = transitions.sum(axis=-1)
         if np.any(np.abs(row_sums - 1.0) > TRANSITION_TOL):
             raise ValueError("each transition row must sum to 1")
@@ -95,6 +99,8 @@ def simplex_min_oracle(
     """
     group_rewards = np.asarray(group_rewards, dtype=float)
     m = group_rewards.size
+    if m == 0:
+        raise ValueError("need at least one group reward")
     if m > 5:
         raise ValueError("simplex oracle limited to m <= 5")
     best = math.inf

@@ -169,9 +169,13 @@ def _bootstrap_values(
     *,
     budget_limit: int,
     a_max: int,
-) -> tuple[np.ndarray, int]:
-    """(max_a' joint target values, rows recomputed), memoized per target-network era."""
-    stale = [t for t in batch if t.bootstrap_era != era and not t.terminal]
+) -> tuple[np.ndarray, int, int]:
+    """(max_a' joint target values, non-terminal rows, rows recomputed).
+
+    Values are memoized per target-network era; a terminal row needs none.
+    """
+    live = [t for t in batch if not t.terminal]
+    stale = [t for t in live if t.bootstrap_era != era]
     if stale:
         next_obs = np.concatenate([t.next_observations for t in stale]).reshape(
             len(stale), *stale[0].next_observations.shape
@@ -182,7 +186,7 @@ def _bootstrap_values(
             transition.bootstrap_era = era
             transition.bootstrap_value = float(value)
     values = np.array([0.0 if t.terminal else t.bootstrap_value for t in batch])
-    return values, len(stale)
+    return values, len(live), len(stale)
 
 
 def _gradient_step(
@@ -195,14 +199,14 @@ def _gradient_step(
     gamma: float,
     budget_limit: int,
     a_max: int,
-) -> tuple[float, int]:
-    """One minibatch TD regression step; returns the loss and the rows bootstrapped anew."""
+) -> tuple[float, int, int]:
+    """One minibatch TD regression step; returns (loss, bootstrap lookups, rows recomputed)."""
     n_agents = batch[0].observations.shape[0]
     obs = np.concatenate([t.observations for t in batch])
     actions = np.concatenate([t.action for t in batch])
     rewards = np.array([t.reward for t in batch])
 
-    bootstrap, recomputed = _bootstrap_values(
+    bootstrap, lookups, recomputed = _bootstrap_values(
         target_params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
     targets = rewards + gamma * bootstrap
@@ -217,7 +221,7 @@ def _gradient_step(
     grad_joint = 2.0 * errors / len(batch)
     grad_out = np.repeat(grad_joint, n_agents)[:, None]
     mlp_gradient_step(params, cache, grad_out, optimizer)
-    return loss, recomputed
+    return loss, lookups, recomputed
 
 
 def train_drmarl(
@@ -312,14 +316,14 @@ def train_drmarl(
             )
             if len(buffer) >= train_config.batch_size:
                 batch = buffer.sample(train_config.batch_size, replay_rng)
-                loss, recomputed = _gradient_step(
+                loss, lookups, recomputed = _gradient_step(
                     params, target_params, optimizer, batch, target_era,
                     gamma=train_config.gamma,
                     budget_limit=env_config.n_chutes,
                     a_max=a_max,
                 )
                 losses.append(loss)
-                result.bootstrap_lookups += sum(not t.terminal for t in batch)
+                result.bootstrap_lookups += lookups
                 result.bootstrap_recomputes += recomputed
                 gradient_steps += 1
                 if gradient_steps % train_config.target_sync_every == 0:
@@ -397,6 +401,29 @@ def rollout(
     return warehouse.episode_metrics(state)
 
 
+def draw_evaluation_inductions(
+    env_config: warehouse.EnvConfig,
+    group_set: GroupSet,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Read-only (T, m * trials, N) induction counts of every evaluated episode.
+
+    Column g * trials + trial holds the T inductions of group g's trial,
+    drawn from its own `stream(seed, "eval", g, trial)`: one draw of T rows
+    consumes the stream as T single draws do. The draw depends on no
+    policy, so one tensor serves every evaluation with these arguments.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    inductions = np.stack([
+        group_set.sample(np.full(env_config.episode_steps, g), stream(seed, "eval", g, trial))
+        for g in range(group_set.size) for trial in range(trials)
+    ], axis=1)
+    inductions.setflags(write=False)
+    return inductions
+
+
 def evaluate_policy(
     params: MlpParams,
     env_config: warehouse.EnvConfig,
@@ -404,6 +431,8 @@ def evaluate_policy(
     trials: int,
     seed: int,
     trace_sink=None,
+    *,
+    inductions: np.ndarray | None = None,
 ) -> EvaluationReport:
     """Greedy rollouts: `trials` episodes per group with fresh inductions.
 
@@ -418,18 +447,25 @@ def evaluate_policy(
     trial) only, in the same order as that `rollout` would, so different
     policies face identical induction realizations.
 
+    `inductions`, if given, is `draw_evaluation_inductions(env_config,
+    group_set, trials, seed)`, drawn once and shared by several policies;
+    the episodes then roll out on it without a draw of their own. It must
+    have that shape and be read-only, so no evaluation can alter what the
+    next one sees; otherwise ValueError.
+
     `trace_sink`, if given, receives the trajectory records
     (warehouse.trace_record) of each group's trial-0 episode: all steps of
     group 1, then of group 2, and so on, after the last step.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     t_start = time.perf_counter()
-    # (T, K, N): one draw of each episode's T inductions consumes its stream as T draws do
-    inductions = np.stack([
-        group_set.sample(np.full(env_config.episode_steps, g), stream(seed, "eval", g, trial))
-        for g in range(group_set.size) for trial in range(trials)
-    ], axis=1)
+    if inductions is None:
+        inductions = draw_evaluation_inductions(env_config, group_set, trials, seed)
+    else:
+        shape = (env_config.episode_steps, group_set.size * trials, env_config.n_destinations)
+        if inductions.shape != shape:
+            raise ValueError(f"inductions have shape {inductions.shape}, expected {shape}")
+        if inductions.flags.writeable:
+            raise ValueError("inductions must be read-only (draw_evaluation_inductions)")
     traced = {g * trials: [] for g in range(group_set.size)} if trace_sink is not None else {}
     state = warehouse.reset(env_config, batch=inductions.shape[1])
     for t, induction in enumerate(inductions):

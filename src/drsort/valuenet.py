@@ -452,8 +452,9 @@ def save_checkpoint(
         "config_hash": config_digest,
         "meta": meta or {},
     }
+    # json.dumps runs the C encoder; json.dump always takes the pure-Python path
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 class CheckpointError(ValueError):

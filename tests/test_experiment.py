@@ -133,3 +133,46 @@ def test_run_name_with_a_comma_survives_metrics_csv(tmp_path):
     row = metrics_by_policy(tmp_path)[name]
     assert len(row) == len(experiment.METRIC_COLUMNS)
     assert 0.0 <= float(row[1]) <= 1.0
+
+
+def count_eval_streams(monkeypatch):
+    """A list that grows by one at each `stream(..., "eval", ...)` the trainer module makes."""
+    made = []
+    real = training.stream
+
+    def counting(seed, name, *qualifiers):
+        if name == "eval":
+            made.append(qualifiers)
+        return real(seed, name, *qualifiers)
+
+    monkeypatch.setattr(training, "stream", counting)
+    return made
+
+
+def test_matrix_draws_the_evaluation_inductions_once(monkeypatch, tmp_path):
+    runs = [dict(CENTER, episodes=1), dict(RANDOM, episodes=1)]
+    cfg = config.parse_config(json.dumps({
+        "master_seed": 0, "evaluation": {"trials": 2, "seed": 7}, "train": {"batch_size": 8},
+        "runs": runs,
+    }))
+    made = count_eval_streams(monkeypatch)
+    evaluated = []
+    real_evaluate = training.evaluate_policy
+
+    def recording(params, *args, **kwargs):
+        evaluated.append(params)
+        return real_evaluate(params, *args, **kwargs)
+
+    # perfbench times evaluations through this module attribute
+    monkeypatch.setattr(training, "evaluate_policy", recording)
+    report = experiment.run_experiment(cfg, tmp_path)
+    assert report["errors"] == []
+    assert len(evaluated) == len(report["runs"]) == 3
+    # one stream per (group, trial) for the whole matrix, not per policy
+    assert sorted(made) == [(g, trial) for g in range(cfg.group_set.size) for trial in range(2)]
+
+    for params, doc in zip(evaluated, report["runs"]):
+        for sink in (None, [].append):
+            plain = real_evaluate(params, cfg.env, cfg.group_set, 2, 7, trace_sink=sink)
+            per_group = experiment.evaluation_to_doc(plain)["per_group"]
+            assert per_group == doc["evaluation"]["per_group"]

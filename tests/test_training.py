@@ -124,6 +124,59 @@ class TestEvaluatePolicy:
         traced = training.evaluate_policy(params, env, group_set, 2, seed=17, trace_sink=len)
         assert [g.episodes for g in traced.per_group] == [g.episodes for g in plain.per_group]
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_shared_inductions_give_the_plain_evaluation(self, traced):
+        env, group_set = small_setup()
+        shared = training.draw_evaluation_inductions(env, group_set, 3, seed=18)
+        assert shared.shape == (env.episode_steps, group_set.size * 3, env.n_destinations)
+        assert not shared.flags.writeable
+        for q_seed in (8, 9):
+            params = random_q_params(env, q_seed)
+            plain_records, shared_records = [], []
+            plain = training.evaluate_policy(
+                params, env, group_set, 3, seed=18,
+                trace_sink=plain_records.append if traced else None,
+            )
+            again = training.evaluate_policy(
+                params, env, group_set, 3, seed=18,
+                trace_sink=shared_records.append if traced else None, inductions=shared,
+            )
+            assert [g.episodes for g in again.per_group] == [g.episodes for g in plain.per_group]
+            assert shared_records == plain_records
+            assert len(plain_records) == (group_set.size * env.episode_steps if traced else 0)
+
+    def test_each_plain_call_draws_and_a_shared_call_does_not(self, monkeypatch):
+        env, group_set = small_setup()
+        made = []
+        real = training.stream
+
+        def counting(seed, name, *qualifiers):
+            made.append(name)
+            return real(seed, name, *qualifiers)
+
+        monkeypatch.setattr(training, "stream", counting)
+        params = random_q_params(env, 10)
+        training.evaluate_policy(params, env, group_set, 2, seed=19)
+        training.evaluate_policy(params, env, group_set, 2, seed=19)
+        assert made == ["eval"] * (2 * group_set.size * 2)
+        shared = training.draw_evaluation_inductions(env, group_set, 2, seed=19)
+        del made[:]
+        training.evaluate_policy(params, env, group_set, 2, seed=19, inductions=shared)
+        assert made == []
+
+    def test_rejects_inductions_of_another_shape_or_writable(self):
+        env, group_set = small_setup()
+        params = random_q_params(env, 11)
+        shared = training.draw_evaluation_inductions(env, group_set, 2, seed=20)
+        with pytest.raises(ValueError, match="expected"):
+            training.evaluate_policy(params, env, group_set, 3, seed=20, inductions=shared)
+        with pytest.raises(ValueError, match="expected"):
+            training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=shared[1:])
+        with pytest.raises(ValueError, match="read-only"):
+            training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=shared.copy())
+        with pytest.raises(ValueError):
+            shared[0, 0, 0] = 1
+
     def test_rejects_zero_trials(self):
         env, group_set, _, _ = config.appendix_b_defaults()
         with pytest.raises(ValueError, match="trials"):

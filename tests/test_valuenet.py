@@ -402,7 +402,7 @@ def transition(next_observations, *, reward=0.0, terminal=False):
 
 
 def bootstrap_values(params, batch, era=0, *, budget_limit=2, a_max=1):
-    values, _ = training._bootstrap_values(
+    values, _, _ = training._bootstrap_values(
         params, batch, era, budget_limit=budget_limit, a_max=a_max
     )
     return values
@@ -455,10 +455,12 @@ class TestTdTarget:
         batch = [transition(rng.uniform(size=(3, valuenet.OBS_DIM))) for _ in range(3)]
         batch.append(transition(rng.uniform(size=(3, valuenet.OBS_DIM)), terminal=True))
         counts = [training._bootstrap_values(self.params, batch[:k], era, budget_limit=2,
-                                             a_max=self.a_max)[1]
+                                             a_max=self.a_max)[1:]
                   for k, era in ((2, 0), (4, 0), (4, 0), (4, 1))]
-        # the terminal row is never recomputed; a memoised row only in a new era
-        assert counts == [2, 1, 0, 3]
+        lookups, recomputed = (list(c) for c in zip(*counts))
+        # the terminal row is never looked up; a memoised row is recomputed only in a new era
+        assert lookups == [2, 3, 3, 3]
+        assert recomputed == [2, 1, 0, 3]
 
 
 class TestReplayBuffer:
@@ -559,6 +561,28 @@ class TestCheckpoint:
         for b, b2 in zip(params.biases, again.biases):
             assert np.array_equal(b, b2)
         assert loaded["config_hash"] == "abc123"
+
+    @pytest.mark.parametrize("kind, dims", [("vdn", [7, 64, 64, 1]), ("cb", [120, 64, 64, 9])])
+    def test_written_bytes_equal_json_dump(self, tmp_path, kind, dims):
+        import json
+
+        params = valuenet.init_mlp(dims, stream(22, f"ckpt/{kind}"), dtype=valuenet.NET_DTYPE)
+        meta = {"seed": 3, "wall_clock_s": 0.1 + 0.2}
+        path = tmp_path / f"{kind}.json"
+        valuenet.save_checkpoint(path, params, kind=kind, config_digest="abc123", meta=meta)
+        oracle = tmp_path / "oracle.json"
+        with open(oracle, "w", encoding="utf-8") as fh:
+            json.dump({
+                "format_version": valuenet.CHECKPOINT_VERSION,
+                "kind": kind,
+                "layer_dims": params.layer_dims,
+                "dtype": np.dtype(params.dtype).name,
+                "weights": [w.ravel().tolist() for w in params.weights],
+                "biases": [b.tolist() for b in params.biases],
+                "config_hash": "abc123",
+                "meta": meta,
+            }, fh)
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_version_1_file_with_optimizer_and_rng_state_keys_loads(self, tmp_path):
         import json
