@@ -1,26 +1,30 @@
 """Experiment configuration: JSON schema, validation, presets.
 
-A config file declares the environment, the group set, the training and
-predictor hyperparameters, the list of policy runs, and the evaluation
-protocol. Every seed is explicit, and unknown keys are rejected.
-Validation errors name the offending path (e.g. "runs[2].mode").
+A config file declares the environment, the group set, both learners'
+hyperparameters, the policy runs and the evaluation protocol; every seed
+is explicit. Errors name the offending path (e.g. "$.runs[2].mode").
 
-Each rule has one owner. EnvConfig, valuenet.LearnerConfig (the fields both
-trainers share), TrainConfig and CbConfig check their own fields. RunSpec
-checks a run's mode, 1-based group, episodes and seeds, and maps them onto
-a TrainConfig, so $.train takes no mode or group. parse_config checks the
-document: types, unknown keys, unique run names, evaluation trials, and an
-env whose N and V equal the group set's.
+Each rule has one owner. The reader (`_read`) owns types: each field's
+type is its dataclass annotation, and unknown or missing keys are errors.
+The dataclasses own ranges: EnvConfig, valuenet.LearnerConfig (the fields
+both trainers share), TrainConfig, CbConfig and the group specs check
+their values, and RunSpec checks a run's mode, group, episodes and seeds.
+parse_config owns the cross-field rules: an env whose N and V equal the
+group set's, unique run names, and evaluation trials >= 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+import math
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
 
 from .bandit import CbConfig
-from .induction import GroupSet, build_group_set, group_set_from_json, group_set_to_json
+from .induction import GroupSet, MultinomialSpec, TruncatedNormalSpec, build_group_set
 from .training import WORST_CASE_MODES, TrainConfig
 from .warehouse import EnvConfig
 
@@ -51,9 +55,7 @@ class RunSpec:
         """Raise a ConfigError at `at(field)` if the run breaks a rule."""
         if self.episodes < 0:
             raise ConfigError(at("episodes"), "must be >= 0")
-        seeds = self.seeds
-        # type(), not isinstance(): a JSON true is a bool, which isinstance counts as an int
-        if not seeds or not all(type(s) is int for s in seeds) or len(set(seeds)) < len(seeds):
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(at("seeds"), "must be a nonempty list of distinct integers")
         if self.mode not in WORST_CASE_MODES:
             raise ConfigError(at("mode"), f"unknown mode {self.mode!r}")
@@ -86,44 +88,104 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _take(doc: dict, key: str, path: str, kind, default=None, required: bool = False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = doc[key]
-    if kind in (int, float) and isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+@dataclass
+class _Document:  # the top level; each section is read on its own
+    master_seed: int
+    runs: tuple[dict, ...]
+    preset: str = "appendix-b"
+    env: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    cb: dict = field(default_factory=dict)
+    groups: dict | None = None  # the preset's group set when absent
+    evaluation: dict = field(default_factory=dict)
+    output_dir: str = "out"
+
+
+@dataclass
+class _Evaluation:
+    seed: int
+    trials: int = 20
+
+
+# the two kinds of $.groups entry: a truncated normal and explicit probabilities
+_NORMAL_ENTRY = {"mu": float, "sigma": float, "n": int, "volume": int}
+_PROBS_ENTRY = {"probs": tuple[float, ...], "volume": int}
+
+
+def _typed(value, hint, path: str):
+    """`value` as the annotated type `hint`, or a ConfigError at `path`.
+
+    The JSON type must match exactly, so a bool is no number; an int
+    literal in a float field becomes a float, and a float must be finite.
+    A list is read as tuple[T, ...], and a failing item reports the list's path.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _typed(value, args[0], path)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise ConfigError(path, f"expected list, got {type(value).__name__}")
+        return tuple(_typed(item, args[0], path) for item in value)
+    if hint is float and type(value) is int:  # one beyond the float range reads as infinite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not hint:
+        raise ConfigError(path, f"expected {hint.__name__}, got {type(value).__name__}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value}")
     return value
 
 
-def _reject_unknown(doc: dict, known, path: str) -> None:
+def _fields(doc: dict, hints: dict, path: str, required=()) -> dict:
+    """The entries of the JSON object `doc`, each typed by its entry in `hints`."""
     for key in doc:
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"{path}.{key}", "unknown field")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    return {key: _typed(value, hints[key], f"{path}.{key}") for key, value in doc.items()}
 
 
-def _dataclass_overrides(cls, base, doc: dict, path: str, exclude=()):
-    if not doc:
-        return base
-    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)} - set(exclude), path)
-    updates = {}
-    for key, value in doc.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        # no config field takes a boolean, and bool would pass the int checks
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(item, bool) for item in items):
-            raise ConfigError(f"{path}.{key}", "expected a number, got bool")
-        updates[key] = value
+def _read(cls, doc: dict, path: str, base=None, exclude=()):
+    """A `cls` from the JSON object `doc`, each field typed by its annotation.
+
+    Fields that `doc` omits keep `base`'s values, or else the class's
+    defaults; without a `base`, a field with no default is required.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in exclude]
+    required = [f.name for f in fields if not base and f.default is f.default_factory is MISSING]
+    values = _fields(doc, {f.name: hints[f.name] for f in fields}, path, required)
     try:
-        return dataclasses.replace(base, **updates)
-    except (TypeError, ValueError) as exc:
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def group_set_from_doc(doc: dict) -> GroupSet:
+    """The group set of a `$.groups` object: an optional kind and a list of entries."""
+    top = _fields(doc, {"kind": str, "groups": tuple[dict, ...]}, "$.groups", ["groups"])
+    entries = []
+    for idx, entry in enumerate(top["groups"]):
+        hints = _PROBS_ENTRY if "probs" in entry else _NORMAL_ENTRY
+        entries.append(_fields(entry, hints, f"$.groups.groups[{idx}]", hints))
+    try:
+        return GroupSet(kind=top.get("kind", "custom"), groups=tuple(
+            MultinomialSpec(e["probs"], e["volume"]) if "probs" in e
+            else TruncatedNormalSpec(e["mu"], e["sigma"], e["n"], e["volume"])
+            for e in entries
+        ))
+    except ValueError as exc:
+        raise ConfigError("$.groups", str(exc)) from exc
+
+
+def group_set_to_doc(group_set: GroupSet) -> dict:
+    """The `$.groups` object that group_set_from_doc reads back to `group_set`."""
+    return {"kind": group_set.kind, "groups": [
+        {"probs": list(g.probs_vector), "volume": g.volume} if isinstance(g, MultinomialSpec)
+        else {"mu": g.mu, "sigma": g.sigma, "n": g.n_destinations, "volume": g.volume}
+        for g in group_set.groups
+    ]}
 
 
 def appendix_b_defaults() -> tuple[EnvConfig, GroupSet, TrainConfig, CbConfig]:
@@ -135,79 +197,52 @@ PRESETS = {"appendix-b": appendix_b_defaults}
 
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
 
-_TOP_LEVEL_KEYS = ("preset", "master_seed", "env", "train", "cb", "groups", "evaluation",
-                   "output_dir", "runs")
-
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("$", "top-level value must be an object")
-    _reject_unknown(doc, _TOP_LEVEL_KEYS, "$")
+    top = _read(_Document, _typed(doc, dict, "$"), "$")
 
-    preset = _take(doc, "preset", "$", str, default="appendix-b")
-    if preset not in PRESETS:
-        raise ConfigError("$.preset", f"unknown preset {preset!r}")
-    env, group_set, train, cb = PRESETS[preset]()
+    if top.preset not in PRESETS:
+        raise ConfigError("$.preset", f"unknown preset {top.preset!r}")
+    env, group_set, train, cb = PRESETS[top.preset]()
 
-    env = _dataclass_overrides(EnvConfig, env, _take(doc, "env", "$", dict, {}), "$.env")
-    train = _dataclass_overrides(
-        TrainConfig, train, _take(doc, "train", "$", dict, {}), "$.train", exclude=RUN_FIELDS
-    )
-    cb = _dataclass_overrides(CbConfig, cb, _take(doc, "cb", "$", dict, {}), "$.cb")
-    if "groups" in doc:
-        try:
-            group_set = group_set_from_json(json.dumps(doc["groups"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("$.groups", str(exc)) from exc
+    env = _read(EnvConfig, top.env, "$.env", env)
+    train = _read(TrainConfig, top.train, "$.train", train, exclude=RUN_FIELDS)
+    cb = _read(CbConfig, top.cb, "$.cb", cb)
+    if top.groups is not None:
+        group_set = group_set_from_doc(top.groups)
     if (env.n_destinations, env.step_volume) != (group_set.n_destinations, group_set.volume):
-        raise ConfigError("$.env", (
-            f"n_destinations {env.n_destinations} and step_volume {env.step_volume} must equal "
-            f"the groups' N {group_set.n_destinations} and volume {group_set.volume}"
-        ))
+        raise ConfigError("$.env", f"n_destinations {env.n_destinations} and step_volume "
+                          f"{env.step_volume} must equal the groups' N "
+                          f"{group_set.n_destinations} and volume {group_set.volume}")
 
-    master_seed = _take(doc, "master_seed", "$", int, required=True)
-    evaluation = _take(doc, "evaluation", "$", dict, {})
-    _reject_unknown(evaluation, ("trials", "seed"), "$.evaluation")
-    eval_trials = _take(evaluation, "trials", "$.evaluation", int, default=20)
-    if eval_trials < 1:
+    evaluation = _read(_Evaluation, top.evaluation, "$.evaluation")
+    if evaluation.trials < 1:
         raise ConfigError("$.evaluation.trials", "must be >= 1")
-    eval_seed = _take(evaluation, "seed", "$.evaluation", int, required=True)
-    output_dir = _take(doc, "output_dir", "$", str, default="out")
 
-    runs_doc = _take(doc, "runs", "$", list, required=True)
     runs = []
-    for idx, entry in enumerate(runs_doc):
+    for idx, entry in enumerate(top.runs):
         path = f"$.runs[{idx}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(path, "run must be an object")
-        _reject_unknown(entry, [f.name for f in dataclasses.fields(RunSpec)], path)
-        run = RunSpec(
-            name=_take(entry, "name", path, str, required=True),
-            mode=_take(entry, "mode", path, str, required=True),
-            episodes=_take(entry, "episodes", path, int, required=True),
-            seeds=tuple(_take(entry, "seeds", path, list, required=True)),
-            group=_take(entry, "group", path, int),
-        )
-        run.check(group_set.size, lambda field, path=path: f"{path}.{field}")
+        run = _read(RunSpec, entry, path)
+        run.check(group_set.size, lambda key, path=path: f"{path}.{key}")
         runs.append(run)
     names = [r.name for r in runs]
     if len(set(names)) != len(names):
         raise ConfigError("$.runs", "run names must be unique")
 
     return ExperimentConfig(
-        master_seed=master_seed,
+        master_seed=top.master_seed,
         env=env,
         group_set=group_set,
         train=train,
         cb=cb,
         runs=tuple(runs),
-        eval_trials=eval_trials,
-        eval_seed=eval_seed,
-        output_dir=output_dir,
+        eval_trials=evaluation.trials,
+        eval_seed=evaluation.seed,
+        output_dir=top.output_dir,
     )
 
 
@@ -221,7 +256,7 @@ def config_to_doc(config: ExperimentConfig) -> dict:
             k: v for k, v in dataclasses.asdict(config.train).items() if k not in RUN_FIELDS
         },
         "cb": dataclasses.asdict(config.cb),
-        "groups": json.loads(group_set_to_json(config.group_set)),
+        "groups": group_set_to_doc(config.group_set),
         "evaluation": {"trials": config.eval_trials, "seed": config.eval_seed},
         "runs": [
             {k: v for k, v in dataclasses.asdict(run).items() if v is not None}

@@ -277,17 +277,17 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     if not report_path.exists():
         raise FileNotFoundError(f"no report.json under {runs_dir}")
     report = json.loads(report_path.read_text(encoding="utf-8"))
+    config = parse_config(json.dumps(report["config"]))
+    for doc in report["runs"]:
+        if not (runs_dir / doc["trace"]).exists():
+            raise FileNotFoundError(f"missing trace {runs_dir / doc['trace']}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    config = parse_config(json.dumps(report["config"]))
     write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])
 
     convergence_rows = []
     for doc in report["runs"]:
         trace_path = runs_dir / doc["trace"]
-        if not trace_path.exists():
-            continue
         cumulative = 0.0
         for record in read_trace_csv(trace_path):
             cumulative += record["wall_clock_s"]

@@ -15,7 +15,6 @@ Group indices are 1-based in files and logs, 0-based in code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -190,39 +189,3 @@ def build_group_set(kind: str) -> GroupSet:
         for mu in APPENDIX_B_MEANS
     )
     return GroupSet(kind=kind, groups=groups)
-
-
-def group_set_to_json(group_set: GroupSet) -> str:
-    """Serialize to the documented JSON schema (1-based group order)."""
-    groups = []
-    for g in group_set.groups:
-        if isinstance(g, TruncatedNormalSpec):
-            groups.append(
-                {"mu": g.mu, "sigma": g.sigma, "n": g.n_destinations, "volume": g.volume}
-            )
-        else:
-            groups.append({"probs": list(g.probs_vector), "volume": g.volume})
-    return json.dumps({"kind": group_set.kind, "groups": groups}, indent=2)
-
-
-def group_set_from_json(text: str) -> GroupSet:
-    doc = json.loads(text)
-    groups: list[GroupSpec] = []
-    for entry in doc["groups"]:
-        if "mu" in entry:
-            groups.append(
-                TruncatedNormalSpec(
-                    mu=float(entry["mu"]),
-                    sigma=float(entry["sigma"]),
-                    n_destinations=int(entry["n"]),
-                    volume=int(entry["volume"]),
-                )
-            )
-        else:
-            groups.append(
-                MultinomialSpec(
-                    probs_vector=tuple(float(p) for p in entry["probs"]),
-                    volume=int(entry["volume"]),
-                )
-            )
-    return GroupSet(kind=str(doc.get("kind", "custom")), groups=tuple(groups))

@@ -221,3 +221,17 @@ def test_eval_trace_holds_the_evaluated_episodes(capsys, tmp_path):
     for g, group in enumerate(doc["per_group"]):
         sorted_total = sum(sum(r["sorted"]) for r in records[g * steps : (g + 1) * steps])
         assert sorted_total == group["episode_throughputs"][0]
+
+
+def test_an_experiment_config_with_a_float_for_an_int_exits_2_before_writing(capsys, tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "master_seed": 0, "evaluation": {"seed": 1}, "train": {"target_sync_every": 1.5},
+        "output_dir": str(out),
+        "runs": [{"name": "r", "mode": "random", "episodes": 1, "seeds": [1]}],
+    }), encoding="utf-8")
+    code, err = run(capsys, "experiment", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert "$.train.target_sync_every" in err
+    assert not out.exists()

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from drsort import config
+from drsort import config, experiment, induction, valuenet
+from drsort.seeding import stream
 
 
 def minimal_doc(**overrides):
@@ -114,6 +115,92 @@ def test_errors_name_the_offending_path(doc, path, message):
         parse(doc)
     assert info.value.path == path
     assert message in str(info.value)
+
+
+def with_group(drop=(), **entry):
+    """The appendix-b groups with the first entry's fields changed or dropped."""
+    groups = [{"mu": mu, "sigma": 2.0, "n": 20, "volume": 1200}
+              for mu in induction.APPENDIX_B_MEANS]
+    first = groups[0]
+    first.update(entry)
+    for key in drop:
+        del first[key]
+    return minimal_doc(groups={"kind": "appendix-b", "groups": groups})
+
+
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        (minimal_doc(env={"action_max": 1.5}), "$.env.action_max", "expected int, got float"),
+        (minimal_doc(train={"target_sync_every": 1.5}), "$.train.target_sync_every",
+         "expected int, got float"),
+        (minimal_doc(train={"n_probe": 2.5}), "$.train.n_probe", "expected int, got float"),
+        (minimal_doc(train={"episodes": 2.5}), "$.train.episodes", "expected int, got float"),
+        (minimal_doc(train={"hidden": [64, 32.0]}), "$.train.hidden", "expected int, got float"),
+        (minimal_doc(cb={"buffer_capacity": 100.5}), "$.cb.buffer_capacity",
+         "expected int, got float"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1.0, "seeds": [1]}),
+         "$.runs[1].episodes", "expected int, got float"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1.5]}),
+         "$.runs[1].seeds", "expected int, got float"),
+        (minimal_doc(evaluation={"trials": 2.5, "seed": 3}), "$.evaluation.trials",
+         "expected int, got float"),
+        (minimal_doc(master_seed=1.0), "$.master_seed", "expected int, got float"),
+        (minimal_doc(train={"learning_rate": "0.001"}), "$.train.learning_rate",
+         "expected float, got str"),
+        (minimal_doc(train={"batch_size": "64"}), "$.train.batch_size", "expected int, got str"),
+        (with_group(volume=60.7), "$.groups.groups[0].volume", "expected int, got float"),
+        (with_group(n=20.9), "$.groups.groups[0].n", "expected int, got float"),
+        (with_group(mu="1.5"), "$.groups.groups[0].mu", "expected float, got str"),
+        (with_group(sigma=True), "$.groups.groups[0].sigma", "expected float, got bool"),
+        (with_group(weight=1.0), "$.groups.groups[0].weight", "unknown field"),
+        (with_group(drop=["sigma"]), "$.groups.groups[0].sigma", "missing required field"),
+        (with_group(mu=float("nan")), "$.groups.groups[0].mu", "must be finite"),
+        (with_group(sigma=-1.0), "$.groups", "sigma must be positive"),
+        (minimal_doc(env={"action_penalty": float("nan")}), "$.env.action_penalty",
+         "must be finite"),
+        (minimal_doc(train={"learning_rate": float("inf")}), "$.train.learning_rate",
+         "must be finite"),
+        (minimal_doc(cb={"learning_rate": 10**400}), "$.cb.learning_rate", "must be finite"),
+    ],
+    ids=["env-action-max", "train-target-sync", "train-n-probe", "train-episodes",
+         "train-hidden", "cb-buffer-capacity", "run-episodes", "run-seeds", "eval-trials",
+         "master-seed", "str-for-float", "str-for-int", "group-volume", "group-n", "group-mu",
+         "group-sigma-bool", "group-unknown-key", "group-missing-key", "group-mu-nan",
+         "group-sigma-range",
+         "env-nan", "train-infinity", "int-beyond-float-range"],
+)
+def test_a_value_of_the_wrong_type_is_an_error_at_its_path(doc, path, message):
+    with pytest.raises(config.ConfigError) as info:
+        parse(doc)
+    assert info.value.path == path
+    assert message in str(info.value)
+
+
+def test_an_int_literal_in_a_float_field_is_stored_as_a_float(tmp_path):
+    params = valuenet.init_mlp(valuenet.default_q_dims(1), stream(1, "test/config-q"),
+                               dtype=valuenet.NET_DTYPE)
+    docs, hashes = [], []
+    for literal in (1, 1.0):
+        cfg = parse(minimal_doc(train={"epsilon_start": literal}))
+        assert type(cfg.train.epsilon_start) is float
+        docs.append(json.dumps(config.config_to_doc(cfg)))
+        path = tmp_path / f"policy-{literal!r}.json"
+        experiment.save_policy(path, params, cfg.runs[0].train_config(cfg.train), meta={})
+        hashes.append(valuenet.load_checkpoint(path)["config_hash"])
+    assert docs[0] == docs[1]
+    assert hashes[0] == hashes[1]
+
+
+def test_group_set_document_round_trip():
+    def round_trip(group_set):
+        return config.group_set_from_doc(json.loads(json.dumps(config.group_set_to_doc(group_set))))
+
+    gs = induction.build_group_set("appendix-b")
+    assert round_trip(gs) == gs
+    spec = induction.MultinomialSpec(probs_vector=(0.25, 0.75), volume=8)
+    custom = induction.GroupSet(kind="custom", groups=(spec,))
+    assert round_trip(custom) == custom
 
 
 @pytest.mark.parametrize(

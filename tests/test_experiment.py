@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +80,18 @@ def test_report_subcommand_rebuilds_metrics_byte_for_byte(canonical, tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
     with open(tmp_path / "convergence.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.reader(fh))) == 1 + 5 * 2  # header, 5 jobs x 2 episodes
+
+
+def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical, tmp_path, capsys):
+    out, report = canonical
+    runs = tmp_path / "runs"
+    shutil.copytree(out, runs)
+    trace = report["runs"][-1]["trace"]
+    (runs / trace).unlink()
+    rebuilt = tmp_path / "rebuilt"
+    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
+    assert Path(trace).name in capsys.readouterr().err
+    assert not list(rebuilt.glob("*.csv"))
 
 
 def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(

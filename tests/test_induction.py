@@ -130,10 +130,3 @@ class TestGroupSet:
         b = induction.MultinomialSpec(probs_vector=(1.0,), volume=6)
         with pytest.raises(ValueError, match="same volume"):
             custom_set(a, b)
-
-    def test_json_round_trip(self):
-        gs = induction.build_group_set("appendix-b")
-        again = induction.group_set_from_json(induction.group_set_to_json(gs))
-        assert again == gs
-        custom = custom_set(induction.MultinomialSpec(probs_vector=(0.25, 0.75), volume=8))
-        assert induction.group_set_from_json(induction.group_set_to_json(custom)) == custom
