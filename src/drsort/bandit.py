@@ -9,6 +9,15 @@ group-selection loop: actions come from a fixed exploration policy
 and the current argmin otherwise, and only the executed group's head
 receives error signal. Like the Q-net's, the regression targets are joint
 rewards scaled by warehouse.reward_unit.
+
+The replay is three preallocated columns (contexts, executed groups,
+scaled rewards), and a ReplayRing, the Q-net's ring rules, picks the row
+each step writes and the rows each update gathers. Contexts are stored
+in NET_DTYPE, the network's dtype: a step writes its context once, and
+that row feeds both its argmin and, gathered, later updates, with no
+concatenation or cast. The one cast on the way in rounds each value as
+the forward pass's own cast of a float64 context would, so the predictor
+is bit-equal to one trained on float64 contexts.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .valuenet import (
     LearnerConfig,
     MlpParams,
     Optimizer,
-    ReplayBuffer,
+    ReplayRing,
     greedy_actions,
     init_mlp,
     mlp_forward,
@@ -49,17 +58,20 @@ class CbConfig(LearnerConfig):
             raise ValueError(f"unknown explore kind {self.explore!r}; choose from {EXPLORE_KINDS}")
 
 
-@dataclass(frozen=True)
-class CbTransition:
-    context: np.ndarray
-    group: int  # 0-based
-    observed_reward: float
+def cb_context(
+    observations: np.ndarray, action: np.ndarray, a_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Flatten (N, OBS_DIM) observations plus normalized actions into one vector.
 
-
-def cb_context(observations: np.ndarray, action: np.ndarray, a_max: int) -> np.ndarray:
-    """Flatten (N, OBS_DIM) observations plus normalized actions into one vector."""
-    action = np.asarray(action, dtype=float) / a_max
-    return np.concatenate([np.asarray(observations, dtype=float).ravel(), action])
+    The vector is float64, or written into `out` (cast to its dtype) when given.
+    """
+    observations = np.asarray(observations, dtype=float)
+    split = observations.size
+    if out is None:
+        out = np.empty(split + len(action))
+    out[:split] = observations.ravel()
+    out[split:] = np.asarray(action, dtype=float) / a_max
+    return out
 
 
 def cb_context_dim(n_destinations: int, obs_dim: int = warehouse.OBS_DIM) -> int:
@@ -86,40 +98,42 @@ def cb_worst_group(
 
 def choose_group(
     params: MlpParams,
-    observations: np.ndarray,
-    action: np.ndarray,
-    a_max: int,
+    context: np.ndarray,
     n_groups: int,
     epsilon: float,
     rng: np.random.Generator,
 ) -> int:
-    """Epsilon-greedy group selection: uniform with prob epsilon, else argmin."""
+    """Epsilon-greedy group selection for one cb_context: uniform with prob epsilon, else argmin.
+
+    Ties in the argmin go to the smallest index (0-based).
+    """
     if rng.random() < epsilon:
         return int(rng.integers(n_groups))
-    return cb_worst_group(params, observations, action, a_max)
+    return int(np.argmin(mlp_forward(params, context)))
 
 
 def cb_update(
     params: MlpParams,
     optimizer: Optimizer,
-    batch: list[CbTransition],
+    contexts: np.ndarray,
+    groups: np.ndarray,
+    rewards: np.ndarray,
 ) -> float:
     """One gradient step on the per-head squared error; returns the batch loss.
 
-    Only the head of each transition's executed group receives error
-    signal.
+    Row i of the batch is context contexts[i] (B, context dim), executed
+    group groups[i] (0-based) and observed scaled reward rewards[i]; only
+    that group's head receives row i's error signal.
     """
-    if not batch:
+    n = len(groups)
+    if not n:
         raise ValueError("cb_update requires a nonempty batch")
-    contexts = np.concatenate([t.context for t in batch]).reshape(len(batch), -1)
-    groups = np.array([t.group for t in batch])
-    targets = np.array([t.observed_reward for t in batch])
     preds, cache = mlp_forward_cached(params, contexts)
-    rows = np.arange(len(batch))
-    errors = preds[rows, groups] - targets
+    rows = np.arange(n)
+    errors = preds[rows, groups] - rewards
     loss = float(np.mean(errors**2))
     grad_out = np.zeros_like(preds)
-    grad_out[rows, groups] = 2.0 * errors / len(batch)
+    grad_out[rows, groups] = 2.0 * errors / n
     mlp_gradient_step(params, cache, grad_out, optimizer)
     return loss
 
@@ -189,7 +203,11 @@ def train_cb(
     )
     optimizer = Optimizer(learning_rate=cb_config.learning_rate)
     scale = warehouse.reward_unit(env_config)
-    buffer = ReplayBuffer(cb_config.buffer_capacity)
+    # the replay columns; a run never stores more steps than it takes
+    ring = ReplayRing(min(cb_config.buffer_capacity, cb_config.episodes * env_config.episode_steps))
+    contexts = np.empty((ring.capacity, params.layer_dims[0]), dtype=NET_DTYPE)
+    groups = np.empty(ring.capacity, dtype=np.int64)
+    rewards = np.empty(ring.capacity)
 
     step_count = 0
     episode_losses: list[float] = []
@@ -199,19 +217,19 @@ def train_cb(
         for _t in range(env_config.episode_steps):
             obs = warehouse.observe_all(state, env_config)
             action = explore_action(cb_config.explore, obs, env_config, explore_rng, q_params)
+            slot = ring.next_slot()
+            context = cb_context(obs, action, a_max, out=contexts[slot])
             eps = cb_config.epsilon(step_count, env_config.episode_steps)
-            group = choose_group(params, obs, action, a_max, m, eps, group_rng)
+            group = choose_group(params, context, m, eps, group_rng)
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
-            reward = float(outcome.rewards.sum()) * scale
-            buffer.push(
-                CbTransition(
-                    context=cb_context(obs, action, a_max), group=group, observed_reward=reward
+            groups[slot] = group
+            rewards[slot] = float(outcome.rewards.sum()) * scale
+            if len(ring) >= cb_config.batch_size:
+                rows = ring.draw(cb_config.batch_size, replay_rng)
+                losses.append(
+                    cb_update(params, optimizer, contexts[rows], groups[rows], rewards[rows])
                 )
-            )
-            if len(buffer) >= cb_config.batch_size:
-                batch = buffer.sample(cb_config.batch_size, replay_rng)
-                losses.append(cb_update(params, optimizer, batch))
             state = outcome.next_state
             step_count += 1
         if losses:

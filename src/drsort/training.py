@@ -189,6 +189,17 @@ def _bootstrap_values(
     return values, len(live), len(stale)
 
 
+def _joint_values(locals_: np.ndarray) -> np.ndarray:
+    """Per-row float64 sums of (B, N) local values, added left to right by agent from +0.0.
+
+    Reducing over the outer axis of the (N, B) transpose adds one agent's
+    column at a time, so each sum is bit-equal to the sequential loop
+    `joint = 0.0; joint = joint + locals_[:, agent]`, a -0.0 row included;
+    np.cumsum would keep such a row's -0.0.
+    """
+    return np.add.reduce(np.ascontiguousarray(locals_.T, dtype=np.float64), axis=0, initial=0.0)
+
+
 def _gradient_step(
     params: MlpParams,
     target_params: MlpParams,
@@ -213,9 +224,7 @@ def _gradient_step(
     rows = q_inputs(obs, actions, a_max, params.dtype)
     preds, cache = mlp_forward_cached(params, rows)
     locals_ = preds[:, 0].reshape(len(batch), n_agents)
-    joint = np.zeros(len(batch))
-    for agent in range(n_agents):
-        joint = joint + locals_[:, agent]
+    joint = _joint_values(locals_)
     errors = joint - targets
     loss = float(np.mean(errors**2))
     grad_joint = 2.0 * errors / len(batch)

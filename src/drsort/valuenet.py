@@ -53,6 +53,12 @@ class LearnerConfig:
         for name, least in (("episodes", 0), ("batch_size", 1), ("buffer_capacity", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.buffer_capacity < self.batch_size:
+            # updates wait for batch_size stored transitions, which such a buffer never holds
+            raise ValueError(
+                f"buffer_capacity {self.buffer_capacity} is smaller than batch_size "
+                f"{self.batch_size}, so no update would ever run"
+            )
         if not all(isinstance(w, int) and w >= 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden}")
 
@@ -386,38 +392,63 @@ class Transition:
     bootstrap_value: float = 0.0
 
 
-class ReplayBuffer:
-    """FIFO ring buffer with uniform with-replacement sampling.
+class ReplayRing:
+    """The slot rules of a FIFO replay ring, apart from what the slots hold.
 
-    Until the buffer reaches capacity, a batch larger than the number of
-    stored items raises; a full buffer may be sampled at any batch size.
+    Pushes fill slots 0, 1, ... in turn; once `capacity` items are stored,
+    each push overwrites the oldest slot. A batch is drawn uniformly with
+    replacement over the stored slots. Until the ring is full, a batch
+    larger than the number of stored items raises; a full ring may be
+    drawn at any batch size.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
+        self.pushes = 0
+
+    def __len__(self) -> int:
+        return min(self.pushes, self.capacity)
+
+    def next_slot(self) -> int:
+        """The slot the next push writes, counted as stored from now on."""
+        slot = self.pushes % self.capacity
+        self.pushes += 1
+        return slot
+
+    def draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """`batch_size` stored slots, uniformly with replacement."""
+        size = len(self)
+        if not size:
+            raise ValueError("cannot sample from an empty buffer")
+        if size < self.capacity and batch_size > size:
+            raise ValueError(
+                f"batch_size {batch_size} exceeds the {size} stored items "
+                f"of a buffer not yet full (capacity {self.capacity})"
+            )
+        return rng.integers(0, size, size=batch_size)
+
+
+class ReplayBuffer:
+    """A ReplayRing of Python objects: `sample` returns a list of the stored items."""
+
+    def __init__(self, capacity: int):
+        self._ring = ReplayRing(capacity)
         self._items: list = []
-        self._cursor = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def push(self, item) -> None:
-        if len(self._items) < self.capacity:
+        slot = self._ring.next_slot()
+        if slot == len(self._items):
             self._items.append(item)
         else:
-            self._items[self._cursor] = item
-            self._cursor = (self._cursor + 1) % self.capacity
+            self._items[slot] = item
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list:
-        if not self._items:
-            raise ValueError("cannot sample from an empty buffer")
-        if len(self._items) < self.capacity and batch_size > len(self._items):
-            raise ValueError(
-                f"batch_size {batch_size} exceeds the {len(self._items)} stored items "
-                f"of a buffer not yet full (capacity {self.capacity})"
-            )
-        indices = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in indices]
+        items = self._items
+        # Python ints index a list faster than numpy integer scalars
+        return [items[i] for i in self._ring.draw(batch_size, rng).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ LEARNER_ERRORS = [
         (minimal_doc(train={"fixed_group": 4}), "$.train.fixed_group", "unknown field"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [3, 3]}),
          "$.runs[1].seeds", "list of distinct integers"),
+        (minimal_doc(train={"buffer_capacity": 10}), "$.train",
+         "buffer_capacity 10 is smaller than batch_size 64"),
+        (minimal_doc(cb={"buffer_capacity": 10}), "$.cb",
+         "buffer_capacity 10 is smaller than batch_size 64"),
+        (minimal_doc(cb={"buffer_capacity": 63}), "$.cb",
+         "buffer_capacity 63 is smaller than batch_size 64"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

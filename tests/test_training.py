@@ -197,6 +197,38 @@ class TestTrainDrmarl:
         assert (first.gradient_steps, first.target_syncs) == (steps, steps // 5) == (23, 4)
 
 
+def loop_joint_values(locals_):
+    """Reference joint sums: a float64 zero vector plus one agent's column at a time."""
+    joint = np.zeros(locals_.shape[0])
+    for agent in range(locals_.shape[1]):
+        joint = joint + locals_[:, agent]
+    return joint
+
+
+class TestJointValues:
+    @staticmethod
+    def assert_bitwise(locals_):
+        expected = loop_joint_values(locals_)
+        got = training._joint_values(locals_)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_random_batches_match_the_sequential_loop(self):
+        rng = stream(24, "test/joint-values")
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-3, 4)
+            self.assert_bitwise((rng.standard_normal((64, 20)) * scale).astype(np.float32))
+
+    def test_signed_zeros_match_the_sequential_loop(self):
+        locals_ = stream(25, "test/joint-zeros").standard_normal((64, 20)).astype(np.float32)
+        locals_[:, 0] = -0.0
+        self.assert_bitwise(locals_)
+        all_negative_zero = np.full((8, 20), -0.0, dtype=np.float32)
+        self.assert_bitwise(all_negative_zero)
+        assert not np.signbit(training._joint_values(all_negative_zero)).any()
+        self.assert_bitwise(np.zeros((8, 20), dtype=np.float32))
+
+
 def scalar_probe_estimates(state, action, group_set, env_config, rng, n_probe):
     """Reference exhaustive probing: one cloned state, draw and step per probe, group by group."""
     estimates = []

@@ -508,6 +508,28 @@ class TestReplayBuffer:
         assert a == b
 
 
+class TestReplayRing:
+    def test_pushes_past_capacity_overwrite_the_oldest_slot_first(self):
+        ring = valuenet.ReplayRing(4)
+        slots = [ring.next_slot() for _ in range(11)]
+        assert slots == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2]
+        assert len(ring) == 4
+
+    def test_draws_equal_the_buffer_samples_on_the_same_stream(self):
+        ring, buf = valuenet.ReplayRing(5), valuenet.ReplayBuffer(5)
+        column = np.empty(5, dtype=int)
+        ring_rng, buf_rng, ref_rng = (stream(18, "ring") for _ in range(3))
+        for item in range(13):
+            column[ring.next_slot()] = item
+            buf.push(item)
+            if len(ring) >= 3:
+                slots = ring.draw(3, ring_rng)
+                assert slots.tolist() == ref_rng.integers(0, min(item + 1, 5), size=3).tolist()
+                assert column[slots].tolist() == buf.sample(3, buf_rng)
+        assert column.tolist() == buf._items == [10, 11, 12, 8, 9]
+        assert ring_rng.bit_generator.state == buf_rng.bit_generator.state
+
+
 class TestTargetSync:
     def test_forward_agreement_after_sync(self):
         params = valuenet.init_mlp([3, 4, 1], stream(17, "ts"))
