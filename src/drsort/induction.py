@@ -163,13 +163,18 @@ class GroupSet:
         """Probability vector of group `group_index` (0-based); read-only view."""
         return self._probs[group_index]
 
-    def sample(self, group_index: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(
+        self, group_index: int | np.ndarray, rng: np.random.Generator, size: int | None = None
+    ) -> np.ndarray:
         """One induction count vector of group `group_index` (0-based).
 
         For an array of group indices, one row per index, drawn in order:
         the draws, and what they consume of `rng`, equal one call per index.
+        `size=T` with one group index draws T rows of that group; they, and
+        the state `rng` is left in, equal `sample(np.full(T, g), rng)`, and
+        numpy checks the probability vector once instead of T times.
         """
-        return rng.multinomial(self.volume, self._probs[group_index])
+        return rng.multinomial(self.volume, self._probs[group_index], size=size)
 
 
 APPENDIX_B_MEANS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)

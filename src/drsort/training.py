@@ -419,16 +419,29 @@ def draw_evaluation_inductions(
     """Read-only (T, m * trials, N) induction counts of every evaluated episode.
 
     Column g * trials + trial holds the T inductions of group g's trial,
-    drawn from its own `stream(seed, "eval", g, trial)`: one draw of T rows
-    consumes the stream as T single draws do. The draw depends on no
-    policy, so one tensor serves every evaluation with these arguments.
+    drawn from its own `stream(seed, "eval", g, trial)` by one
+    `group_set.sample(g, rng, size=T)`, which consumes the stream as T
+    single draws do. The draws fill one preallocated tensor. The draw
+    depends on no policy, so one tensor serves every evaluation with these
+    arguments. A group set whose N or volume differs from the env's is a
+    ValueError, raised before any stream is built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    inductions = np.stack([
-        group_set.sample(np.full(env_config.episode_steps, g), stream(seed, "eval", g, trial))
-        for g in range(group_set.size) for trial in range(trials)
-    ], axis=1)
+    if (group_set.n_destinations, group_set.volume) != (
+        env_config.n_destinations, env_config.step_volume
+    ):
+        raise ValueError(
+            f"group set has N={group_set.n_destinations} and volume {group_set.volume}, "
+            f"env has N={env_config.n_destinations} and volume {env_config.step_volume}"
+        )
+    steps = env_config.episode_steps
+    inductions = np.empty((steps, group_set.size * trials, group_set.n_destinations), np.int64)
+    for g in range(group_set.size):
+        for trial in range(trials):
+            inductions[:, g * trials + trial] = group_set.sample(
+                g, stream(seed, "eval", g, trial), size=steps
+            )
     inductions.setflags(write=False)
     return inductions
 

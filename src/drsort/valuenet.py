@@ -333,14 +333,23 @@ def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are grouped by a 1-D projection key, which is far cheaper than
     np.unique(axis=0). The key is summed column by column, so equal rows
-    get equal keys wherever they sit (a BLAS product would not promise
-    that). A key collision between rows that differ in any bit is caught
-    by a bitwise check, and then nothing is merged: the result is
-    (x, arange(len(x))).
+    get equal keys wherever they sit: a BLAS product `x @ w` rounds a row
+    by its position in the block and gives equal rows different keys, and
+    a wrapping integer product of the bit patterns collides on real
+    observation rows. One argsort of the key orders the rows; each run of
+    equal keys is one distinct row, in ascending key order. A key
+    collision between rows that differ in any bit is caught by a bitwise
+    check, and then nothing is merged: the result is (x, arange(len(x))).
     """
     key = sum(x[:, j] * w for j, w in enumerate(_row_key_weights(x.shape[1])))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rows = x[first]
+    order = np.argsort(key)
+    ranked = key[order]
+    starts = np.empty(len(key), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    rows = x[order[starts]]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     bits = np.dtype(f"u{x.dtype.itemsize}")
     if np.array_equal(rows[inverse].view(bits), x.view(bits)):
         return rows, inverse

@@ -116,6 +116,18 @@ class TestGroupSet:
         assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
         assert not gs.probs(4).flags.writeable
 
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_a_sized_draw_equals_the_repeated_index_draw(self, steps):
+        zeros = induction.MultinomialSpec(probs_vector=(0.0, 0.2, 0.3, 0.3, 0.2, 0.0), volume=60)
+        uniform = induction.MultinomialSpec(probs_vector=(1 / 6,) * 6, volume=60)
+        for gs in (induction.build_group_set("appendix-b"), custom_set(zeros, uniform)):
+            for g in range(gs.size):
+                sized_rng, repeated_rng = stream(4, "gs", g), stream(4, "gs", g)
+                rows = gs.sample(g, sized_rng, size=steps)
+                assert rows.shape == (steps, gs.n_destinations)
+                assert np.array_equal(rows, gs.sample(np.full(steps, g), repeated_rng))
+                assert sized_rng.bit_generator.state == repeated_rng.bit_generator.state
+
     def test_custom_single_group(self):
         spec = induction.MultinomialSpec(probs_vector=(1.0,), volume=5)
         assert custom_set(spec).size == 1

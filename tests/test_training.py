@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -181,6 +182,108 @@ class TestEvaluatePolicy:
         env, group_set, _, _ = config.appendix_b_defaults()
         with pytest.raises(ValueError, match="trials"):
             training.evaluate_policy(random_q_params(env, 5), env, group_set, 0, seed=1)
+
+
+def fitting_setup(name):
+    """The env and group set of one formulation the evaluation tests run on."""
+    if name == "small":
+        return small_setup()
+    env, group_set, _, _ = config.appendix_b_defaults()
+    return (warehouse.main_formulation_config() if name == "main" else env), group_set
+
+
+class TestDrawEvaluationInductions:
+    @pytest.mark.parametrize("name", ["appendix-b", "main", "small"])
+    def test_each_column_equals_single_draws_on_its_stream(self, monkeypatch, name):
+        env, group_set = fitting_setup(name)
+        made = []
+        real = training.stream
+
+        def recording(seed, name, *qualifiers):
+            made.append(real(seed, name, *qualifiers))
+            return made[-1]
+
+        monkeypatch.setattr(training, "stream", recording)
+        trials = 3
+        inductions = training.draw_evaluation_inductions(env, group_set, trials, seed=21)
+        assert inductions.dtype == np.int64 and not inductions.flags.writeable
+        assert len(made) == group_set.size * trials
+        for g in range(group_set.size):
+            for trial in range(trials):
+                rng = stream(21, "eval", g, trial)
+                expected = [group_set.sample(g, rng) for _ in range(env.episode_steps)]
+                column = g * trials + trial
+                assert np.array_equal(inductions[:, column], np.stack(expected))
+                assert made[column].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("misfit", ["n_destinations", "step_volume"])
+    def test_rejects_a_group_set_that_does_not_fit_the_env(self, monkeypatch, misfit):
+        env, group_set, _, _ = config.appendix_b_defaults()
+        if misfit == "n_destinations":
+            _, group_set = small_setup()
+            message = "group set has N=6 and volume 60, env has N=20 and volume 1200"
+        else:
+            env = dataclasses.replace(env, step_volume=1000)
+            message = "group set has N=20 and volume 1200, env has N=20 and volume 1000"
+        made = []
+        monkeypatch.setattr(training, "stream", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=message):
+            training.draw_evaluation_inductions(env, group_set, 2, seed=22)
+        with pytest.raises(ValueError, match=message):
+            training.evaluate_policy(random_q_params(env, 12), env, group_set, 2, seed=22)
+        assert made == []
+
+
+@pytest.fixture(scope="module")
+def trained_policies():
+    """A 3-episode (batch 8) policy per formulation, with its train and evaluation seed."""
+    policies = {}
+    for name, seed in (("appendix-b", 41), ("main", 43)):
+        env, group_set = fitting_setup(name)
+        train = dataclasses.replace(config.appendix_b_defaults()[2], episodes=3, batch_size=8)
+        params = training.train_drmarl(train, env, group_set, seed=seed).params
+        policies[name] = (env, group_set, params, seed)
+    return policies
+
+
+class TestLockstepEvaluation:
+    # recorded with one (T, N) pvals draw per episode and np.unique row grouping
+    # (numpy 2.4 with OpenBLAS 0.3.31, with one BLAS thread and with two)
+    @pytest.mark.parametrize("name, digest", [
+        ("appendix-b", "65c73d6ed851d6bd0339fe964677475b2a6469efd33707d0a46a14885afa4619"),
+        ("main", "6aa600c33fb4455356f79a351534358d418e22c81b5146528d0a7ebc9cb16628"),
+    ])
+    def test_a_plain_evaluation_keeps_its_digest(self, trained_policies, name, digest):
+        env, group_set, params, seed = trained_policies[name]
+        report = training.evaluate_policy(params, env, group_set, trials=2, seed=seed)
+        text = ";".join(
+            f"{ep.recirc_rate.hex()},{ep.throughput}"
+            for group in report.per_group for ep in group.episodes
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["appendix-b", "main"])
+    def test_grouping_merges_every_equal_row(self, monkeypatch, trained_policies, name):
+        env, group_set, params, seed = trained_policies[name]
+        grouped = []
+        real = valuenet.distinct_rows
+
+        def recording(x):
+            grouped.append(x.copy())
+            return real(x)
+
+        monkeypatch.setattr(valuenet, "distinct_rows", recording)
+        training.evaluate_policy(params, env, group_set, trials=20, seed=seed)
+        episodes = group_set.size * 20
+        shapes = [(episodes * env.n_destinations, valuenet.OBS_DIM), (episodes, env.n_destinations)]
+        assert [x.shape for x in grouped] == shapes * env.episode_steps
+        for x in grouped:
+            bits = x.view(np.dtype(f"u{x.dtype.itemsize}"))
+            rows, inverse = real(x)
+            assert len(rows) == len(np.unique(bits, axis=0))
+            assert np.array_equal(rows[inverse].view(bits.dtype), bits)
+        # every step's observation rows merge; its stacks merge at t=0 at least
+        assert all(len(real(x)[0]) < len(x) for x in grouped[::2] + grouped[1:2])
 
 
 class TestTrainDrmarl:

@@ -348,6 +348,12 @@ class TestDedupe:
         rows, inverse = valuenet.distinct_rows(x)
         assert np.array_equal(rows[inverse].view(np.uint64), x.view(np.uint64))
 
+    @pytest.mark.parametrize("x", [np.empty((0, valuenet.OBS_DIM)), np.empty((0, 20), np.intp)])
+    def test_no_rows_give_two_empty_arrays(self, x):
+        rows, inverse = valuenet.distinct_rows(x)
+        assert rows.shape == x.shape and rows.dtype == x.dtype
+        assert inverse.shape == (0,)
+
     def test_a_key_collision_merges_nothing(self, monkeypatch):
         monkeypatch.setattr(valuenet, "_row_key_weights", lambda width: np.zeros(width))
         x = np.array([[0.25, 1.0], [0.5, 1.0], [0.25, 1.0]])
