@@ -6,8 +6,16 @@ each step's induction group is chosen by the configured worst-case
 strategy (contextual-bandit argmin, exhaustive probing, uniform random,
 or a fixed group), and minibatch TD updates regress the joint value onto
 reward-plus-discounted budgeted max of the target network. The reward
-slot of each stored transition carries the reward observed under the
-selected group, which is what makes the loss distributionally robust.
+stored for each step is the reward observed under the selected group,
+which is what makes the loss distributionally robust.
+
+The replay (QReplay) is preallocated columns over a ReplayRing. A step
+writes its float32 q_inputs rows, next observations, scaled reward and
+terminal flag once, and a TD step gathers its B * N input rows in one
+take. The bootstrap values are memoized per target-network era in two
+more columns, an era and a value per slot: a TD step recomputes, in one
+batched forward and budget max, only the drawn live slots whose memo is
+from an older era.
 
 Exhaustive probing is the group-wise inner max of Group DRO by Monte
 Carlo: each of the m groups is scored by the mean joint reward of
@@ -33,8 +41,7 @@ from .valuenet import (
     LearnerConfig,
     MlpParams,
     Optimizer,
-    ReplayBuffer,
-    Transition,
+    ReplayRing,
     action_value_table_batch,
     default_q_dims,
     greedy_actions,
@@ -42,6 +49,7 @@ from .valuenet import (
     mlp_forward_cached,
     mlp_gradient_step,
     params_digest,
+    q_input_dim,
     q_inputs,
     target_sync,
 )
@@ -162,31 +170,63 @@ def select_worst_group(
     raise ValueError(f"unknown worst_case_mode: {mode!r}")
 
 
+class QReplay:
+    """The Q-net's replay: preallocated columns over one ReplayRing, one slot per env step.
+
+    Slot s holds a step's (N, in_dim) float32 q_inputs rows, its next
+    observations in float32, its scaled reward and terminal flag, and the
+    bootstrap memo: value[s] is the step's budgeted max joint value under
+    the target network of era era[s]. The bootstrap forward casts its input
+    rows to float32 anyway, so storing the next observations in float32
+    changes no value. A push sets era -1 (no memo) and value 0.0, which a
+    terminal step keeps.
+    """
+
+    def __init__(self, capacity: int, n_agents: int, a_max: int):
+        self.a_max = a_max
+        self.ring = ReplayRing(capacity)
+        self.rows = np.empty((capacity, n_agents, q_input_dim(a_max)), dtype=NET_DTYPE)
+        self.next_observations = np.empty(
+            (capacity, n_agents, warehouse.OBS_DIM), dtype=NET_DTYPE
+        )
+        self.rewards = np.empty(capacity)
+        self.terminal = np.empty(capacity, dtype=bool)
+        self.era = np.empty(capacity, dtype=np.int64)
+        self.value = np.empty(capacity)
+
+    def push(self, observations, action, reward: float, next_observations, terminal: bool) -> None:
+        slot = self.ring.next_slot()
+        self.rows[slot] = q_inputs(observations, action, self.a_max, NET_DTYPE)
+        self.next_observations[slot] = next_observations
+        self.rewards[slot] = reward
+        self.terminal[slot] = terminal
+        self.era[slot] = -1
+        self.value[slot] = 0.0
+
+
 def _bootstrap_values(
     target_params: MlpParams,
-    batch: list[Transition],
+    replay: QReplay,
+    slots: np.ndarray,
     era: int,
     *,
     budget_limit: int,
-    a_max: int,
 ) -> tuple[np.ndarray, int, int]:
-    """(max_a' joint target values, non-terminal rows, rows recomputed).
+    """(max_a' joint target values of the drawn slots, non-terminal slots, slots recomputed).
 
-    Values are memoized per target-network era; a terminal row needs none.
+    Values are memoized per target-network era; a terminal slot needs none.
+    The live slots whose memo is from another era are recomputed by one
+    forward in draw order; a slot drawn twice is counted, and computed, twice.
     """
-    live = [t for t in batch if not t.terminal]
-    stale = [t for t in live if t.bootstrap_era != era]
-    if stale:
-        next_obs = np.concatenate([t.next_observations for t in stale]).reshape(
-            len(stale), *stale[0].next_observations.shape
+    live = slots[~replay.terminal[slots]]
+    stale = live[replay.era[live] != era]
+    if len(stale):
+        tables = action_value_table_batch(
+            target_params, replay.next_observations[stale], replay.a_max
         )
-        tables = action_value_table_batch(target_params, next_obs, a_max)
-        values = budget.max_joint_value_batch(tables, budget_limit)
-        for transition, value in zip(stale, values):
-            transition.bootstrap_era = era
-            transition.bootstrap_value = float(value)
-    values = np.array([0.0 if t.terminal else t.bootstrap_value for t in batch])
-    return values, len(live), len(stale)
+        replay.value[stale] = budget.max_joint_value_batch(tables, budget_limit)
+        replay.era[stale] = era
+    return replay.value[slots], len(live), len(stale)
 
 
 def _joint_values(locals_: np.ndarray) -> np.ndarray:
@@ -204,30 +244,28 @@ def _gradient_step(
     params: MlpParams,
     target_params: MlpParams,
     optimizer: Optimizer,
-    batch: list[Transition],
+    replay: QReplay,
+    slots: np.ndarray,
     era: int,
     *,
     gamma: float,
     budget_limit: int,
-    a_max: int,
 ) -> tuple[float, int, int]:
-    """One minibatch TD regression step; returns (loss, bootstrap lookups, rows recomputed)."""
-    n_agents = batch[0].observations.shape[0]
-    obs = np.concatenate([t.observations for t in batch])
-    actions = np.concatenate([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
+    """One minibatch TD step on the drawn slots; returns (loss, bootstrap lookups, rows recomputed).
 
+    The slots' q_inputs rows are gathered as one (B * N, in_dim) block.
+    """
     bootstrap, lookups, recomputed = _bootstrap_values(
-        target_params, batch, era, budget_limit=budget_limit, a_max=a_max
+        target_params, replay, slots, era, budget_limit=budget_limit
     )
-    targets = rewards + gamma * bootstrap
-    rows = q_inputs(obs, actions, a_max, params.dtype)
-    preds, cache = mlp_forward_cached(params, rows)
-    locals_ = preds[:, 0].reshape(len(batch), n_agents)
-    joint = _joint_values(locals_)
+    targets = replay.rewards[slots] + gamma * bootstrap
+    rows = replay.rows[slots]
+    batch, n_agents, in_dim = rows.shape
+    preds, cache = mlp_forward_cached(params, rows.reshape(batch * n_agents, in_dim))
+    joint = _joint_values(preds[:, 0].reshape(batch, n_agents))
     errors = joint - targets
     loss = float(np.mean(errors**2))
-    grad_joint = 2.0 * errors / len(batch)
+    grad_joint = 2.0 * errors / batch
     grad_out = np.repeat(grad_joint, n_agents)[:, None]
     mlp_gradient_step(params, cache, grad_out, optimizer)
     return loss, lookups, recomputed
@@ -265,7 +303,12 @@ def train_drmarl(
     target_params = target_sync(params)
     optimizer = Optimizer(learning_rate=train_config.learning_rate)
     scale = warehouse.reward_unit(env_config)
-    buffer = ReplayBuffer(train_config.buffer_capacity)
+    # a run never stores more steps than it takes
+    replay = QReplay(
+        min(train_config.buffer_capacity, train_config.episodes * env_config.episode_steps),
+        n,
+        a_max,
+    )
 
     result = TrainResult(params=params, group_counts=[0] * m)
     if cb_params is not None:
@@ -314,22 +357,15 @@ def train_drmarl(
             returns += raw_reward
             next_state = outcome.next_state
             next_obs = warehouse.observe_all(next_state, env_config)
-            buffer.push(
-                Transition(
-                    observations=obs,
-                    action=action,
-                    reward=raw_reward * scale,
-                    next_observations=next_obs,
-                    terminal=(t == env_config.episode_steps - 1),
-                )
+            replay.push(
+                obs, action, raw_reward * scale, next_obs, t == env_config.episode_steps - 1
             )
-            if len(buffer) >= train_config.batch_size:
-                batch = buffer.sample(train_config.batch_size, replay_rng)
+            if len(replay.ring) >= train_config.batch_size:
+                slots = replay.ring.draw(train_config.batch_size, replay_rng)
                 loss, lookups, recomputed = _gradient_step(
-                    params, target_params, optimizer, batch, target_era,
+                    params, target_params, optimizer, replay, slots, target_era,
                     gamma=train_config.gamma,
                     budget_limit=env_config.n_chutes,
-                    a_max=a_max,
                 )
                 losses.append(loss)
                 result.bootstrap_lookups += lookups

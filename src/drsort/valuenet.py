@@ -390,15 +390,18 @@ def greedy_actions(
 
 @dataclass
 class Transition:
+    """One env step as a ReplayBuffer item.
+
+    The Q-net trainer keeps its steps, and their per-era bootstrap memo, in
+    the preallocated columns of training.QReplay instead; this list form is
+    the reference the column replay is tested against.
+    """
+
     observations: np.ndarray  # (N, OBS_DIM)
     action: np.ndarray  # (N,)
     reward: float  # joint scalar (trainer-scaled)
     next_observations: np.ndarray
     terminal: bool
-    # bootstrap value memoized per target-network era; recomputing it for
-    # the same target parameters is the training loop's dominant cost
-    bootstrap_era: int = -1
-    bootstrap_value: float = 0.0
 
 
 class ReplayRing:

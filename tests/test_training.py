@@ -300,6 +300,172 @@ class TestTrainDrmarl:
         assert (first.gradient_steps, first.target_syncs) == (steps, steps // 5) == (23, 4)
 
 
+@dataclasses.dataclass
+class MemoTransition(valuenet.Transition):
+    # bootstrap value memoized per target-network era
+    bootstrap_era: int = -1
+    bootstrap_value: float = 0.0
+
+
+def list_bootstrap_values(target_params, batch, era, *, budget_limit, a_max):
+    """Reference bootstrap: (values, non-terminal rows, rows recomputed) over a list of steps."""
+    live = [t for t in batch if not t.terminal]
+    stale = [t for t in live if t.bootstrap_era != era]
+    if stale:
+        next_obs = np.concatenate([t.next_observations for t in stale]).reshape(
+            len(stale), *stale[0].next_observations.shape
+        )
+        tables = valuenet.action_value_table_batch(target_params, next_obs, a_max)
+        values = budget.max_joint_value_batch(tables, budget_limit)
+        for transition, value in zip(stale, values):
+            transition.bootstrap_era = era
+            transition.bootstrap_value = float(value)
+    values = np.array([0.0 if t.terminal else t.bootstrap_value for t in batch])
+    return values, len(live), len(stale)
+
+
+def list_gradient_step(params, target_params, optimizer, batch, era, *, gamma, budget_limit,
+                       a_max):
+    """Reference TD step: concatenated float64 observations, q_inputs built per step."""
+    n_agents = batch[0].observations.shape[0]
+    obs = np.concatenate([t.observations for t in batch])
+    actions = np.concatenate([t.action for t in batch])
+    rewards = np.array([t.reward for t in batch])
+    bootstrap, lookups, recomputed = list_bootstrap_values(
+        target_params, batch, era, budget_limit=budget_limit, a_max=a_max
+    )
+    targets = rewards + gamma * bootstrap
+    rows = valuenet.q_inputs(obs, actions, a_max, params.dtype)
+    preds, cache = valuenet.mlp_forward_cached(params, rows)
+    joint = loop_joint_values(preds[:, 0].reshape(len(batch), n_agents))
+    errors = joint - targets
+    grad_joint = 2.0 * errors / len(batch)
+    grad_out = np.repeat(grad_joint, n_agents)[:, None]
+    valuenet.mlp_gradient_step(params, cache, grad_out, optimizer)
+    return float(np.mean(errors**2)), lookups, recomputed
+
+
+def list_train_drmarl(train_config, env_config, group_set, seed, cb_params=None):
+    """Reference trainer: one MemoTransition per step in a ReplayBuffer.
+
+    It draws every stream in the same order as training.train_drmarl and
+    returns the fields of its TrainResult that the tests compare.
+    """
+    mode = train_config.worst_case_mode
+    a_max = env_config.action_max
+    n = env_config.n_destinations
+    m = group_set.size
+    init_rng = stream(seed, "train/init")
+    explore_rng = stream(seed, "train/explore")
+    group_rng = stream(seed, "train/groups")
+    induction_rng = stream(seed, "train/induction")
+    replay_rng = stream(seed, "train/replay")
+    probe_rng = stream(seed, "train/probe")
+    params = init_mlp(
+        default_q_dims(a_max, train_config.hidden), init_rng, dtype=valuenet.NET_DTYPE
+    )
+    target_params = valuenet.target_sync(params)
+    optimizer = valuenet.Optimizer(learning_rate=train_config.learning_rate)
+    scale = warehouse.reward_unit(env_config)
+    buffer = valuenet.ReplayBuffer(train_config.buffer_capacity)
+    out = dict(td_loss=[], gradient_steps=0, target_syncs=0, bootstrap_lookups=0,
+               bootstrap_recomputes=0, group_counts=[0] * m)
+    step_count = 0
+    for _episode in range(train_config.episodes):
+        state = warehouse.reset(env_config)
+        obs = warehouse.observe_all(state, env_config)
+        group_rng.integers(m)
+        losses = []
+        for t in range(env_config.episode_steps):
+            epsilon = train_config.epsilon(step_count, env_config.episode_steps)
+            if explore_rng.random() < epsilon:
+                action = budget.sample_feasible_uniform(n, a_max, env_config.n_chutes, explore_rng)
+            else:
+                action = valuenet.greedy_actions(params, obs, a_max, env_config.n_chutes)
+            group = training.select_worst_group(
+                mode, group_set=group_set, state=state, observations=obs, action=action,
+                env_config=env_config, rng=probe_rng if mode == "exhaustive" else group_rng,
+                cb_params=cb_params, fixed_group=train_config.fixed_group,
+                n_probe=train_config.n_probe,
+            )
+            out["group_counts"][group] += 1
+            induction = group_set.sample(group, induction_rng)
+            outcome = warehouse.step(state, action, induction, env_config)
+            next_obs = warehouse.observe_all(outcome.next_state, env_config)
+            buffer.push(MemoTransition(
+                observations=obs,
+                action=action,
+                reward=float(outcome.rewards.sum()) * scale,
+                next_observations=next_obs,
+                terminal=(t == env_config.episode_steps - 1),
+            ))
+            if len(buffer) >= train_config.batch_size:
+                batch = buffer.sample(train_config.batch_size, replay_rng)
+                loss, lookups, recomputed = list_gradient_step(
+                    params, target_params, optimizer, batch, out["target_syncs"],
+                    gamma=train_config.gamma, budget_limit=env_config.n_chutes, a_max=a_max,
+                )
+                losses.append(loss)
+                out["bootstrap_lookups"] += lookups
+                out["bootstrap_recomputes"] += recomputed
+                out["gradient_steps"] += 1
+                if out["gradient_steps"] % train_config.target_sync_every == 0:
+                    target_params = valuenet.target_sync(params)
+                    out["target_syncs"] += 1
+            state = outcome.next_state
+            obs = next_obs
+            step_count += 1
+        out["td_loss"].append(float(np.mean(losses)) if losses else float("nan"))
+    return params, out
+
+
+class TestReplayColumns:
+    @pytest.mark.parametrize("capacity", [12, 50_000], ids=["wraps", "never-full"])
+    @pytest.mark.parametrize("formulation", ["appendix-b", "main"])
+    @pytest.mark.parametrize("mode", training.WORST_CASE_MODES)
+    def test_columns_match_the_list_of_transitions(self, mode, formulation, capacity):
+        env, group_set = fitting_setup(formulation)
+        train = dataclasses.replace(
+            config.appendix_b_defaults()[2], episodes=4, batch_size=8, buffer_capacity=capacity,
+            target_sync_every=3, worst_case_mode=mode, fixed_group=4 if mode == "fixed" else None,
+        )
+        cb_params = None
+        if mode == "cb":
+            dims = bandit.default_cb_dims(env.n_destinations, group_set.size)
+            cb_params = init_mlp(dims, stream(44, "test/cb"), dtype=valuenet.NET_DTYPE)
+        result = training.train_drmarl(train, env, group_set, seed=44, cb_params=cb_params)
+        params, expected = list_train_drmarl(train, env, group_set, 44, cb_params=cb_params)
+        assert params_digest(result.params) == params_digest(params)
+        assert [row.td_loss.hex() for row in result.trace] == [x.hex() for x in expected["td_loss"]]
+        for name in ("gradient_steps", "target_syncs", "bootstrap_lookups",
+                     "bootstrap_recomputes", "group_counts"):
+            assert getattr(result, name) == expected[name], name
+        # eras turn over, and the memo serves some lookups but not all
+        assert result.target_syncs == result.gradient_steps // 3 > 1
+        assert 0 < result.bootstrap_recomputes < result.bootstrap_lookups
+
+    def test_columns_hold_no_more_slots_than_the_run_takes(self, monkeypatch):
+        env, group_set, train, _ = config.appendix_b_defaults()
+        train = dataclasses.replace(train, episodes=3, batch_size=8, buffer_capacity=50_000)
+        made = []
+
+        class Recording(training.QReplay):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(training, "QReplay", Recording)
+        training.train_drmarl(train, env, group_set, seed=45)
+        (replay,) = made
+        steps = train.episodes * env.episode_steps
+        assert replay.ring.capacity == len(replay.ring) == steps == 30
+        columns = (replay.rows, replay.next_observations, replay.rewards, replay.terminal,
+                   replay.era, replay.value)
+        assert [len(column) for column in columns] == [steps] * len(columns)
+        in_dim = valuenet.q_input_dim(env.action_max)
+        assert replay.rows.shape == (steps, env.n_destinations, in_dim)
+
+
 def loop_joint_values(locals_):
     """Reference joint sums: a float64 zero vector plus one agent's column at a time."""
     joint = np.zeros(locals_.shape[0])

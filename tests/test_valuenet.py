@@ -396,26 +396,32 @@ class TestDedupe:
             assert forward_rows[0] < 45 * 21 and solved_stacks[0] < 45
 
 
-def transition(next_observations, *, reward=0.0, terminal=False):
-    n = next_observations.shape[0]
-    return valuenet.Transition(
-        observations=np.zeros_like(next_observations),
-        action=np.zeros(n, dtype=int),
-        reward=reward,
-        next_observations=next_observations,
-        terminal=terminal,
+def column_replay(next_observations, *, a_max=1, reward=0.0, terminal=()):
+    """A training.QReplay holding one step per next-observation array, in order.
+
+    The steps at the indices in `terminal` end an episode.
+    """
+    n = next_observations[0].shape[0]
+    replay = training.QReplay(len(next_observations), n, a_max)
+    for i, next_obs in enumerate(next_observations):
+        replay.push(np.zeros_like(next_obs), np.zeros(n, dtype=int), reward, next_obs,
+                    i in terminal)
+    return replay
+
+
+def bootstrap_counts(params, replay, slots, era=0, *, budget_limit=2):
+    return training._bootstrap_values(
+        params, replay, np.asarray(slots), era, budget_limit=budget_limit
     )
 
 
-def bootstrap_values(params, batch, era=0, *, budget_limit=2, a_max=1):
-    values, _, _ = training._bootstrap_values(
-        params, batch, era, budget_limit=budget_limit, a_max=a_max
-    )
+def bootstrap_values(params, replay, slots, era=0, *, budget_limit=2):
+    values, _, _ = bootstrap_counts(params, replay, slots, era, budget_limit=budget_limit)
     return values
 
 
 class TestTdTarget:
-    """The trainer's TD target: reward + gamma * training._bootstrap_values."""
+    """The trainer's TD target: reward + gamma * training._bootstrap_values over QReplay slots."""
 
     def setup_method(self):
         self.a_max = 1
@@ -423,9 +429,10 @@ class TestTdTarget:
 
     def test_terminal_returns_reward(self):
         obs = np.zeros((3, valuenet.OBS_DIM))
-        (value,) = bootstrap_values(self.params, [transition(obs, reward=-4.0, terminal=True)])
+        replay = column_replay([obs], reward=-4.0, terminal={0})
+        (value,) = bootstrap_values(self.params, replay, [0])
         assert value == 0.0
-        assert -4.0 + 0.9 * value == -4.0
+        assert replay.rewards[0] + 0.9 * value == -4.0
 
     def test_bootstrap_matches_exhaustive_enumeration(self):
         # a_max=1 takes the binary top-k branch of max_joint_value_batch, a_max=2 the DP
@@ -433,40 +440,66 @@ class TestTdTarget:
         n, budget_limit, gamma = 4, 2, 0.9
         for a_max in (1, 2):
             params = valuenet.init_mlp(valuenet.default_q_dims(a_max, (8, 8)), rng)
-            obs = rng.uniform(size=(n, valuenet.OBS_DIM))
+            # float32 values: the replay stores next observations in NET_DTYPE, and this
+            # float64 net then sees the same inputs as the enumeration
+            obs = rng.uniform(size=(n, valuenet.OBS_DIM)).astype(valuenet.NET_DTYPE)
             table = valuenet.action_value_table(params, obs, a_max)
             best = budget.joint_value(table, budget.brute_force_argmax(table, budget_limit))
-            (value,) = bootstrap_values(
-                params, [transition(obs)], budget_limit=budget_limit, a_max=a_max
-            )
+            replay = column_replay([obs], a_max=a_max)
+            (value,) = bootstrap_values(params, replay, [0], budget_limit=budget_limit)
             assert 1.0 + gamma * value == pytest.approx(1.0 + gamma * best, abs=1e-9)
 
     def test_bootstrap_is_memoised_per_target_era(self):
         rng = stream(14, "memo")
-        batch = [transition(rng.uniform(size=(3, valuenet.OBS_DIM))) for _ in range(4)]
-        batch.append(transition(rng.uniform(size=(3, valuenet.OBS_DIM)), terminal=True))
-        first = bootstrap_values(self.params, batch, era=0)
+        next_obs = [rng.uniform(size=(3, valuenet.OBS_DIM)) for _ in range(5)]
+        replay = column_replay(next_obs, terminal={4})
+        slots = np.arange(5)
+        first = bootstrap_values(self.params, replay, slots, era=0)
         synced = valuenet.init_mlp(valuenet.default_q_dims(self.a_max, (8, 8)), rng)
         # same era: the cached values stand although the target parameters changed
-        assert np.array_equal(bootstrap_values(synced, batch, era=0), first)
+        assert np.array_equal(bootstrap_values(synced, replay, slots, era=0), first)
         # a new era recomputes them with the new parameters
-        recomputed = bootstrap_values(synced, batch, era=1)
-        fresh = bootstrap_values(synced, [transition(t.next_observations) for t in batch[:4]])
+        recomputed = bootstrap_values(synced, replay, slots, era=1)
+        fresh = bootstrap_values(synced, column_replay(next_obs[:4]), slots[:4])
         assert np.array_equal(recomputed[:4], fresh)
         assert not np.array_equal(recomputed[:4], first[:4])
         assert recomputed[4] == first[4] == 0.0
 
     def test_bootstrap_counts_the_rows_it_recomputes(self):
         rng = stream(15, "memo-count")
-        batch = [transition(rng.uniform(size=(3, valuenet.OBS_DIM))) for _ in range(3)]
-        batch.append(transition(rng.uniform(size=(3, valuenet.OBS_DIM)), terminal=True))
-        counts = [training._bootstrap_values(self.params, batch[:k], era, budget_limit=2,
-                                             a_max=self.a_max)[1:]
+        replay = column_replay(
+            [rng.uniform(size=(3, valuenet.OBS_DIM)) for _ in range(4)], terminal={3}
+        )
+        counts = [bootstrap_counts(self.params, replay, np.arange(k), era)[1:]
                   for k, era in ((2, 0), (4, 0), (4, 0), (4, 1))]
         lookups, recomputed = (list(c) for c in zip(*counts))
         # the terminal row is never looked up; a memoised row is recomputed only in a new era
         assert lookups == [2, 3, 3, 3]
         assert recomputed == [2, 1, 0, 3]
+
+    def test_a_slot_drawn_twice_in_a_stale_era_is_recomputed_twice(self, monkeypatch):
+        rng = stream(16, "memo-twice")
+        next_obs = [rng.uniform(size=(3, valuenet.OBS_DIM)) for _ in range(3)]
+        replay = column_replay(next_obs, terminal={2})
+        forwarded = []
+        real = training.action_value_table_batch
+
+        def recording(params, observations, a_max):
+            forwarded.append(observations.copy())
+            return real(params, observations, a_max)
+
+        monkeypatch.setattr(training, "action_value_table_batch", recording)
+        slots = [1, 0, 2, 1]
+        counts = [bootstrap_counts(self.params, replay, slots, era)[1:] for era in (0, 0, 1)]
+        # both positions of slot 1 count in every stale era; the terminal slot 2 never does
+        assert counts == [(3, 3), (3, 0), (3, 3)]
+        assert len(forwarded) == 2
+        for stack in forwarded:
+            assert np.array_equal(stack, replay.next_observations[[1, 0, 1]])
+        values = bootstrap_values(self.params, replay, slots, era=1)
+        assert values[0] == values[3] and values[2] == 0.0
+        assert np.array_equal(values[:2], bootstrap_values(self.params, column_replay(
+            next_obs[:2]), [1, 0]))
 
 
 class TestReplayBuffer:
