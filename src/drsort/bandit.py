@@ -82,18 +82,11 @@ def default_cb_dims(n_destinations: int, n_groups: int, hidden=LearnerConfig.hid
     return [cb_context_dim(n_destinations), *hidden, n_groups]
 
 
-def cb_predict(
-    params: MlpParams, observations: np.ndarray, action: np.ndarray, a_max: int
-) -> np.ndarray:
-    """Predicted expected single-step reward per group, shape (m,)."""
-    return mlp_forward(params, cb_context(observations, action, a_max))
-
-
 def cb_worst_group(
     params: MlpParams, observations: np.ndarray, action: np.ndarray, a_max: int
 ) -> int:
-    """Argmin over group heads; ties go to the smallest index (0-based)."""
-    return int(np.argmin(cb_predict(params, observations, action, a_max)))
+    """Argmin of the predicted single-step reward per group; ties go to the smallest (0-based)."""
+    return int(np.argmin(mlp_forward(params, cb_context(observations, action, a_max))))
 
 
 def choose_group(

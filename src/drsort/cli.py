@@ -92,6 +92,13 @@ def _jsonl_sink(path: Path | None):
         yield lambda record: fh.write(json.dumps(record) + "\n")
 
 
+def _warn_if_untrained(steps: int, batch_size: int, what: str) -> None:
+    """Say on stderr that a run shorter than one minibatch took no gradient step."""
+    if 0 < steps < batch_size:
+        print(f"warning: {steps} steps < batch_size {batch_size}; the {what} is untrained",
+              file=sys.stderr)
+
+
 def _cmd_train(args) -> int:
     env, group_set, train_cfg, _ = _resolve_defaults(args.config)
     episodes = train_cfg.episodes if args.episodes is None else args.episodes
@@ -117,6 +124,7 @@ def _cmd_train(args) -> int:
         result = training.train_drmarl(
             train_cfg, env, group_set, args.seed, cb_params, trace_sink=sink
         )
+    _warn_if_untrained(train_cfg.episodes * env.episode_steps, train_cfg.batch_size, "policy")
 
     experiment.write_trace_csv(args.out / f"trace_train-{tag}.csv", result.trace)
     checkpoint = args.out / f"policy-{tag}.json"
@@ -150,6 +158,7 @@ def _cmd_cb_train(args) -> int:
     result = experiment.train_predictor(
         env, group_set, cb_cfg, args.seed, q_params, checkpoint, args.out / f"cb_s{args.seed}.csv"
     )
+    _warn_if_untrained(cb_cfg.episodes * env.episode_steps, cb_cfg.batch_size, "predictor")
     first = result.episode_losses[0] if result.episode_losses else float("nan")
     last = result.episode_losses[-1] if result.episode_losses else float("nan")
     print(f"trained predictor ({cb_cfg.episodes} episodes, loss {first:.4g} -> {last:.4g}) -> {checkpoint}")

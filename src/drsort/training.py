@@ -21,14 +21,14 @@ Exhaustive probing is the group-wise inner max of Group DRO by Monte
 Carlo: each of the m groups is scored by the mean joint reward of
 n_probe one-step forward simulations of the live state and action.
 All m * n_probe probes run as one batch, one multinomial draw and one
-`warehouse.step` on the live state broadcast to (m * n_probe, N); `step`
-is pure, so the live state is never copied or advanced.
+`warehouse.step` on `warehouse.tile` of the live state; `step` is pure,
+so the live state is never copied or advanced.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,17 +126,10 @@ def probe_group_reward(
     group. Every probe reward is integer-valued, so the means are exact.
     """
     m = group_set.size
-    k = m * n_probe
-    shape = (k,) + state.recirc_backlog.shape
-    probes = replace(
-        state,
-        chutes_assigned=np.broadcast_to(state.chutes_assigned, shape),
-        recirc_backlog=np.broadcast_to(state.recirc_backlog, shape),
-        cum_recirc=np.broadcast_to(state.cum_recirc, (k,)),
-        cum_sorted=np.broadcast_to(state.cum_sorted, (k,)),
-    )
+    probes = warehouse.tile(state, m * n_probe)
     induction = group_set.sample(np.repeat(np.arange(m), n_probe), rng)
-    outcome = warehouse.step(probes, np.broadcast_to(action, shape), induction, env_config)
+    actions = np.broadcast_to(action, probes.recirc_backlog.shape)
+    outcome = warehouse.step(probes, actions, induction, env_config)
     return outcome.rewards.sum(axis=-1).reshape(m, n_probe).sum(axis=1) / n_probe
 
 
@@ -426,26 +419,6 @@ class EvaluationReport:
         return float(np.mean([g.mean(attr) for g in self.per_group]))
 
 
-def rollout(
-    policy,
-    env_config: warehouse.EnvConfig,
-    group_set: GroupSet,
-    group_index: int,
-    rng: np.random.Generator,
-    trace_sink=None,
-) -> warehouse.EpisodeMetrics:
-    """One episode under `policy` (state -> joint action) and one group."""
-    state = warehouse.reset(env_config)
-    for t in range(env_config.episode_steps):
-        action = policy(state)
-        induction = group_set.sample(group_index, rng)
-        outcome = warehouse.step(state, action, induction, env_config)
-        if trace_sink is not None:
-            trace_sink(warehouse.trace_record(t, action, induction, outcome))
-        state = outcome.next_state
-    return warehouse.episode_metrics(state)
-
-
 def draw_evaluation_inductions(
     env_config: warehouse.EnvConfig,
     group_set: GroupSet,
@@ -482,8 +455,8 @@ def draw_evaluation_inductions(
     return inductions
 
 
-def evaluate_policy(
-    params: MlpParams,
+def rollout(
+    policy,
     env_config: warehouse.EnvConfig,
     group_set: GroupSet,
     trials: int,
@@ -492,18 +465,14 @@ def evaluate_policy(
     *,
     inductions: np.ndarray | None = None,
 ) -> EvaluationReport:
-    """Greedy rollouts: `trials` episodes per group with fresh inductions.
+    """`trials` episodes per group under `policy`, a batched state -> (K, N) joint actions.
 
-    All groups x trials episodes advance in lockstep as one (K, N) batch:
-    each step makes one batched observation, one greedy_actions call and
-    one simulator step. greedy_actions runs the Q forward once per
-    distinct observation row (in padded row blocks of at most
-    valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with K) and the
-    budget argmax once per distinct table stack; both merges are exact,
-    so every episode's actions equal a one-at-a-time `rollout`'s. Every
-    episode draws its inductions from its own stream, named by (group,
-    trial) only, in the same order as that `rollout` would, so different
-    policies face identical induction realizations.
+    All K = groups x trials episodes advance in lockstep as one batch, so
+    each step makes one policy call and one simulator step. Episode
+    g * trials + trial draws its inductions from its own stream, named by
+    (group, trial) only, exactly as a one-at-a-time rollout of that
+    episode would, so different policies face identical induction
+    realizations.
 
     `inductions`, if given, is `draw_evaluation_inductions(env_config,
     group_set, trials, seed)`, drawn once and shared by several policies;
@@ -525,15 +494,12 @@ def evaluate_policy(
         if inductions.flags.writeable:
             raise ValueError("inductions must be read-only (draw_evaluation_inductions)")
     traced = {g * trials: [] for g in range(group_set.size)} if trace_sink is not None else {}
-    state = warehouse.reset(env_config, batch=inductions.shape[1])
+    state = warehouse.tile(warehouse.reset(env_config), inductions.shape[1])
     for t, induction in enumerate(inductions):
-        obs = warehouse.observe_all(state, env_config)
-        actions = greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
+        actions = policy(state)
         outcome = warehouse.step(state, actions, induction, env_config)
         for k, records in traced.items():
-            records.append(warehouse.trace_record(
-                t, actions[k], induction[k], warehouse.episode_outcome(outcome, k)
-            ))
+            records.append(warehouse.trace_record(t, actions[k], induction[k], outcome, k))
         state = outcome.next_state
     for records in traced.values():
         for record in records:
@@ -544,3 +510,30 @@ def evaluate_policy(
         for g in range(group_set.size)
     )
     return EvaluationReport(per_group=groups, wall_clock_s=time.perf_counter() - t_start)
+
+
+def evaluate_policy(
+    params: MlpParams,
+    env_config: warehouse.EnvConfig,
+    group_set: GroupSet,
+    trials: int,
+    seed: int,
+    trace_sink=None,
+    *,
+    inductions: np.ndarray | None = None,
+) -> EvaluationReport:
+    """`rollout` of the greedy budgeted policy of the Q-net `params`.
+
+    Each step makes one batched observation and one greedy_actions call.
+    greedy_actions runs the Q forward once per distinct observation row
+    (in padded row blocks of at most valuenet.FORWARD_BLOCK_ROWS, so
+    memory does not grow with K) and the budget argmax once per distinct
+    table stack; both merges are exact, so every episode's actions equal
+    those of a one-at-a-time rollout of that episode.
+    """
+
+    def greedy(state: warehouse.WarehouseState) -> np.ndarray:
+        obs = warehouse.observe_all(state, env_config)
+        return greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
+
+    return rollout(greedy, env_config, group_set, trials, seed, trace_sink, inductions=inductions)

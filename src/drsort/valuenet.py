@@ -190,6 +190,12 @@ def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarr
     return grads_w, grads_b
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class Optimizer:
     """Adam over MlpParams, as one pass over the flat parameter vector.
@@ -202,9 +208,6 @@ class Optimizer:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -216,23 +219,23 @@ class Optimizer:
             self.v = np.zeros_like(params.flat)
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
         m, v = self.m, self.v
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
-        scratch = np.multiply(grad, 1.0 - self.beta1)
-        m *= self.beta1
+        scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += scratch
-        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
         scratch *= grad
-        v *= self.beta2
+        v *= ADAM_BETA2
         v += scratch
         # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
         np.divide(m, bias1, out=scratch)
         scratch *= self.learning_rate
         np.divide(v, bias2, out=grad)
         np.sqrt(grad, out=grad)
-        grad += self.eps
+        grad += ADAM_EPS
         scratch /= grad
         params.flat -= scratch
 

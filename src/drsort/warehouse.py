@@ -91,25 +91,31 @@ class EpisodeMetrics:
     recirc_amount: int
 
 
-def reset(config: EnvConfig, *, batch: int | None = None) -> WarehouseState:
-    """Start state of one episode, or of `batch` episodes run in lockstep."""
-    if batch is None:
-        return WarehouseState(
-            t=0,
-            chutes_assigned=np.zeros(config.n_destinations, dtype=int),
-            recirc_backlog=np.zeros(config.n_destinations, dtype=int),
-            cum_recirc=0,
-            cum_sorted=0,
-        )
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    shape = (batch, config.n_destinations)
+def reset(config: EnvConfig) -> WarehouseState:
+    """Start state of one episode."""
     return WarehouseState(
         t=0,
-        chutes_assigned=np.zeros(shape, dtype=int),
-        recirc_backlog=np.zeros(shape, dtype=int),
-        cum_recirc=np.zeros(batch, dtype=int),
-        cum_sorted=np.zeros(batch, dtype=int),
+        chutes_assigned=np.zeros(config.n_destinations, dtype=int),
+        recirc_backlog=np.zeros(config.n_destinations, dtype=int),
+        cum_recirc=0,
+        cum_sorted=0,
+    )
+
+
+def tile(state: WarehouseState, k: int) -> WarehouseState:
+    """One episode's state as a batch of k copies: read-only broadcast views, no copies.
+
+    `step` never writes its input state, so the batch can be stepped.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    shape = (k,) + state.recirc_backlog.shape
+    return replace(
+        state,
+        chutes_assigned=np.broadcast_to(state.chutes_assigned, shape),
+        recirc_backlog=np.broadcast_to(state.recirc_backlog, shape),
+        cum_recirc=np.broadcast_to(state.cum_recirc, (k,)),
+        cum_sorted=np.broadcast_to(state.cum_sorted, (k,)),
     )
 
 
@@ -161,23 +167,6 @@ def step(
     )
 
 
-def episode_outcome(outcome: StepOutcome, k: int) -> StepOutcome:
-    """Episode k's slice of a batched step: what a single-episode step returns."""
-    state = outcome.next_state
-    return StepOutcome(
-        rewards=outcome.rewards[k],
-        sorted=outcome.sorted[k],
-        recirculated=outcome.recirculated[k],
-        next_state=WarehouseState(
-            t=state.t,
-            chutes_assigned=state.chutes_assigned[k],
-            recirc_backlog=state.recirc_backlog[k],
-            cum_recirc=int(state.cum_recirc[k]),
-            cum_sorted=int(state.cum_sorted[k]),
-        ),
-    )
-
-
 def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
     """(N, OBS_DIM) matrix of all agents' observations; (K, N, OBS_DIM) for a batch.
 
@@ -220,15 +209,19 @@ def episode_metrics(state: WarehouseState) -> EpisodeMetrics | list[EpisodeMetri
     return [_metrics(int(s), int(r)) for s, r in zip(state.cum_sorted, state.cum_recirc)]
 
 
-def trace_record(t: int, action, induction, outcome: StepOutcome) -> dict:
-    """One JSON-lines trajectory record."""
+def trace_record(t: int, action, induction, outcome: StepOutcome, k=()) -> dict:
+    """One JSON-lines trajectory record.
+
+    For a batched outcome, k picks the episode's row of its arrays; the
+    default () takes an (N,) outcome whole.
+    """
     return {
         "t": t,
         "action": [int(a) for a in action],
         "induction": [int(x) for x in induction],
-        "sorted": [int(x) for x in outcome.sorted],
-        "recirculated": [int(x) for x in outcome.recirculated],
-        "rewards": [float(r) for r in outcome.rewards],
+        "sorted": [int(x) for x in outcome.sorted[k]],
+        "recirculated": [int(x) for x in outcome.recirculated[k]],
+        "rewards": [float(r) for r in outcome.rewards[k]],
     }
 
 

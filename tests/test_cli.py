@@ -193,6 +193,22 @@ def test_eval_of_a_checkpoint_with_another_format_version_exits_3(capsys, tmp_pa
     assert "format version" in err
 
 
+def test_a_run_shorter_than_one_batch_says_so_on_stderr(capsys, tmp_path):
+    policy = write_policy(tmp_path / "policy.json")
+    for argv, what in (
+        (("train", "--mode", "random"), "policy"),
+        (("cb-train", "--policy-checkpoint", policy), "predictor"),
+    ):
+        code = cli.main([str(a) for a in argv + ("--episodes", 1, "--seed", 1, "--out", tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert out.startswith("trained ")
+        assert err == f"warning: 10 steps < batch_size 64; the {what} is untrained\n"
+    for episodes in (0, 7):
+        assert run(capsys, "cb-train", "--episodes", episodes, "--seed", 1,
+                   "--policy-checkpoint", policy, "--out", tmp_path) == (cli.EXIT_OK, "")
+
+
 def test_train_cb_train_and_eval_chain(capsys, tmp_path):
     assert run(capsys, "train", "--mode", "fixed", "--group", 5, "--episodes", 1,
                "--seed", 1, "--out", tmp_path)[0] == cli.EXIT_OK

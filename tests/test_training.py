@@ -11,21 +11,45 @@ from drsort.seeding import stream
 from drsort.valuenet import action_value_table, default_q_dims, init_mlp, params_digest
 
 
-def per_episode_evaluation(params, env_config, group_set, trials, seed):
-    """Reference evaluation: one `rollout` per (group, trial), each on its own stream."""
+def single_rollout(policy, env_config, group_set, group_index, rng, trace_sink=None):
+    """Reference episode: one episode under `policy` (state -> joint action) and one group."""
+    state = warehouse.reset(env_config)
+    for t in range(env_config.episode_steps):
+        action = policy(state)
+        induction = group_set.sample(group_index, rng)
+        outcome = warehouse.step(state, action, induction, env_config)
+        if trace_sink is not None:
+            trace_sink(warehouse.trace_record(t, action, induction, outcome))
+        state = outcome.next_state
+    return warehouse.episode_metrics(state)
+
+
+def per_episode_evaluation(policy, env_config, group_set, trials, seed, trace_sink=None):
+    """Reference evaluation: one `single_rollout` per (group, trial), each on its own stream.
+
+    `trace_sink` receives the records of each group's trial-0 episode, group by group.
+    """
+    return [
+        tuple(
+            single_rollout(
+                policy, env_config, group_set, g, stream(seed, "eval", g, trial),
+                trace_sink=trace_sink if trial == 0 else None,
+            )
+            for trial in range(trials)
+        )
+        for g in range(group_set.size)
+    ]
+
+
+def scalar_greedy(params, env_config):
+    """The greedy budgeted Q policy of one episode, one table and one argmax per step."""
 
     def greedy(state):
         obs = warehouse.observe_all(state, env_config)
         table = action_value_table(params, obs, env_config.action_max)
         return budget.solve_budget_argmax(table, env_config.n_chutes)
 
-    return [
-        tuple(
-            training.rollout(greedy, env_config, group_set, g, stream(seed, "eval", g, trial))
-            for trial in range(trials)
-        )
-        for g in range(group_set.size)
-    ]
+    return greedy
 
 
 def small_setup():
@@ -53,7 +77,9 @@ def random_q_params(env_config, seed, dtype=np.float64):
 
 def assert_matches_reference(params, env_config, group_set, trials, seed):
     report = training.evaluate_policy(params, env_config, group_set, trials, seed)
-    expected = per_episode_evaluation(params, env_config, group_set, trials, seed)
+    expected = per_episode_evaluation(
+        scalar_greedy(params, env_config), env_config, group_set, trials, seed
+    )
     assert [g.group for g in report.per_group] == list(range(1, group_set.size + 1))
     assert [g.episodes for g in report.per_group] == expected
     for group in report.per_group:
@@ -110,7 +136,7 @@ class TestEvaluatePolicy:
             assert sum(sum(r["recirculated"]) for r in episode) == group.episodes[0].recirc_amount
             # the same records as a one-at-a-time rollout of that episode
             oracle = []
-            training.rollout(
+            single_rollout(
                 lambda state: valuenet.greedy_actions(
                     params, warehouse.observe_all(state, env), env.action_max, env.n_chutes
                 ),
@@ -190,6 +216,61 @@ def fitting_setup(name):
         return small_setup()
     env, group_set, _, _ = config.appendix_b_defaults()
     return (warehouse.main_formulation_config() if name == "main" else env), group_set
+
+
+def fixed_chutes(env_config):
+    """A policy that keeps one feasible chute set, broadcast to the state's (K, N) or (N,)."""
+    table = stream(3, "test/fixed-chutes").standard_normal(
+        (env_config.n_destinations, env_config.action_max + 1)
+    )
+    chutes = budget.solve_budget_argmax(table, env_config.n_chutes)
+    return lambda state: np.broadcast_to(chutes, state.recirc_backlog.shape)
+
+
+def most_backlogged(env_config):
+    """A state-dependent policy: one chute each to the M largest backlogs, ties to lower index."""
+
+    def policy(state):
+        order = np.argsort(-state.recirc_backlog, axis=-1, kind="stable")
+        actions = np.zeros(state.recirc_backlog.shape, dtype=int)
+        np.put_along_axis(actions, order[..., : env_config.n_chutes], 1, axis=-1)
+        return actions
+
+    return policy
+
+
+class TestRollout:
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("make_policy", [fixed_chutes, most_backlogged])
+    @pytest.mark.parametrize("name", ["appendix-b", "small"])
+    def test_a_non_q_policy_matches_per_episode_rollouts(self, name, make_policy, traced):
+        env, group_set = fitting_setup(name)
+        policy = make_policy(env)
+        records, oracle = [], []
+        report = training.rollout(
+            policy, env, group_set, 3, seed=23, trace_sink=records.append if traced else None
+        )
+        expected = per_episode_evaluation(
+            policy, env, group_set, 3, seed=23, trace_sink=oracle.append if traced else None
+        )
+        assert [g.group for g in report.per_group] == list(range(1, group_set.size + 1))
+        assert [g.episodes for g in report.per_group] == expected
+        assert records == oracle
+        assert len(records) == (group_set.size * env.episode_steps if traced else 0)
+        rates = [ep.recirc_rate for group in report.per_group for ep in group.episodes]
+        assert len(set(rates)) > 1
+
+    def test_the_policy_sees_every_episode_as_one_batch(self):
+        env, group_set = small_setup()
+        seen = []
+
+        def recording(state):
+            seen.append((state.t, state.recirc_backlog.shape))
+            return np.zeros(state.recirc_backlog.shape, dtype=int)
+
+        training.rollout(recording, env, group_set, 2, seed=24)
+        k = group_set.size * 2
+        assert seen == [(t, (k, env.n_destinations)) for t in range(env.episode_steps)]
 
 
 class TestDrawEvaluationInductions:

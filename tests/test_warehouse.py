@@ -253,66 +253,77 @@ class TestBatchedEpisodes:
                               action_penalty=1.5)
         rng = stream(14, "batch")
         k = 4
-        batch = warehouse.reset(config, batch=k)
-        singles = [warehouse.reset(config) for _ in range(k)]
-        outcomes = [[] for _ in range(k)]
-        for _ in range(config.episode_steps):
+
+        def random_step_inputs():
             actions = np.zeros((k, 5), dtype=int)
             for row in actions:
                 row[rng.choice(5, size=2, replace=False)] = [1, 2]
-            inductions = rng.multinomial(30, np.full(5, 0.2), size=k)
-            obs = warehouse.observe_all(batch, config)
-            assert obs.shape == (k, 5, warehouse.OBS_DIM)
-            out = warehouse.step(batch, actions, inductions, config)
-            for i in range(k):
-                assert np.array_equal(obs[i], warehouse.observe_all(singles[i], config))
-                single = warehouse.step(singles[i], actions[i], inductions[i], config)
-                for name in ("rewards", "sorted", "recirculated"):
-                    assert np.array_equal(getattr(out, name)[i], getattr(single, name)), name
-                outcomes[i].append(single)
-                singles[i] = single.next_state
-            batch = out.next_state
-        assert batch.t == config.episode_steps
-        assert warehouse.episode_metrics(batch) == [summed_metrics(o) for o in outcomes]
-        assert warehouse.episode_metrics(singles[0]) == summed_metrics(outcomes[0])
+            return actions, rng.multinomial(30, np.full(5, 0.2), size=k)
+
+        # a tile of the start state, and of one episode's state after two steps
+        mid = warehouse.reset(config)
+        for _ in range(2):
+            actions, inductions = random_step_inputs()
+            mid = warehouse.step(mid, actions[0], inductions[0], config).next_state
+        for start, steps in ((warehouse.reset(config), config.episode_steps), (mid, 3)):
+            batch = warehouse.tile(start, k)
+            assert batch == warehouse.tile(start, k) and batch.t == start.t
+            singles = [start] * k
+            outcomes = [[] for _ in range(k)]
+            for t in range(steps):
+                actions, inductions = random_step_inputs()
+                obs = warehouse.observe_all(batch, config)
+                assert obs.shape == (k, 5, warehouse.OBS_DIM)
+                out = warehouse.step(batch, actions, inductions, config)
+                for i in range(k):
+                    assert np.array_equal(obs[i], warehouse.observe_all(singles[i], config))
+                    single = warehouse.step(singles[i], actions[i], inductions[i], config)
+                    for name in ("rewards", "sorted", "recirculated"):
+                        assert np.array_equal(getattr(out, name)[i], getattr(single, name)), name
+                    assert warehouse.trace_record(t, actions[i], inductions[i], out, i) == (
+                        warehouse.trace_record(t, actions[i], inductions[i], single)
+                    )
+                    nxt = single.next_state
+                    assert np.array_equal(out.next_state.chutes_assigned[i], nxt.chutes_assigned)
+                    assert np.array_equal(out.next_state.recirc_backlog[i], nxt.recirc_backlog)
+                    assert out.next_state.cum_recirc[i] == nxt.cum_recirc
+                    assert out.next_state.cum_sorted[i] == nxt.cum_sorted
+                    outcomes[i].append(single)
+                    singles[i] = nxt
+                batch = out.next_state
+            assert batch.t == start.t + steps
+            assert warehouse.episode_metrics(batch) == [
+                warehouse.episode_metrics(single) for single in singles
+            ]
+            if start.t == 0:
+                assert warehouse.episode_metrics(batch) == [summed_metrics(o) for o in outcomes]
+                assert warehouse.episode_metrics(singles[0]) == summed_metrics(outcomes[0])
         assert type(singles[0].cum_recirc) is int and type(singles[0].cum_sorted) is int
 
-    def test_episode_outcome_is_the_single_episode_step(self):
-        config = small_config(n_destinations=5, n_chutes=3, step_volume=30, action_max=2)
-        rng = stream(15, "slice")
-        k = 3
-        batch = warehouse.reset(config, batch=k)
-        singles = [warehouse.reset(config) for _ in range(k)]
-        for _ in range(config.episode_steps):
-            actions = np.zeros((k, 5), dtype=int)
-            for row in actions:
-                row[rng.choice(5, size=2, replace=False)] = [1, 2]
-            inductions = rng.multinomial(30, np.full(5, 0.2), size=k)
-            out = warehouse.step(batch, actions, inductions, config)
-            for i in range(k):
-                single = warehouse.step(singles[i], actions[i], inductions[i], config)
-                sliced = warehouse.episode_outcome(out, i)
-                for name in ("rewards", "sorted", "recirculated"):
-                    assert np.array_equal(getattr(sliced, name), getattr(single, name)), name
-                assert sliced.next_state == single.next_state
-                assert type(sliced.next_state.cum_sorted) is int
-                assert warehouse.trace_record(0, actions[i], inductions[i], sliced) == (
-                    warehouse.trace_record(0, actions[i], inductions[i], single)
-                )
-                singles[i] = single.next_state
-            batch = out.next_state
+    def test_a_tile_is_read_only_and_its_source_is_never_written(self):
+        config = small_config()
+        state = warehouse.step(
+            warehouse.reset(config), np.array([0, 1, 0]), np.array([4, 4, 8]), config
+        ).next_state
+        before = warehouse.clone_state(state)
+        batch = warehouse.tile(state, 3)
+        assert batch.recirc_backlog.shape == (3, 3) and batch.cum_recirc.shape == (3,)
+        for name in ("chutes_assigned", "recirc_backlog", "cum_recirc", "cum_sorted"):
+            assert not getattr(batch, name).flags.writeable, name
+        warehouse.step(batch, np.tile([1, 0, 1], (3, 1)), np.full((3, 3), 5), config)
+        assert state == before
 
     def test_batched_step_checks_each_row(self):
         config = small_config()
-        state = warehouse.reset(config, batch=2)
+        state = warehouse.tile(warehouse.reset(config), 2)
         with pytest.raises(ValueError, match="infeasible joint action"):
             warehouse.step(state, np.array([[1, 0, 0], [1, 1, 1]]), np.zeros((2, 3)), config)
         with pytest.raises(ValueError, match="one entry per destination"):
             warehouse.step(state, np.zeros(3), np.zeros(3), config)
 
-    def test_reset_rejects_empty_batch(self):
+    def test_tile_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            warehouse.reset(small_config(), batch=0)
+            warehouse.tile(warehouse.reset(small_config()), 0)
 
 
 class TestTraceRecord:
