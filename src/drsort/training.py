@@ -73,6 +73,8 @@ class TrainConfig(LearnerConfig):
             raise ValueError(f"unknown worst_case_mode: {self.worst_case_mode!r}")
         if self.worst_case_mode == "fixed" and self.fixed_group is None:
             raise ValueError("fixed mode requires fixed_group")
+        if self.fixed_group is not None and self.fixed_group < 0:
+            raise ValueError(f"fixed_group must be >= 0, got {self.fixed_group}")
         for name in ("target_sync_every", "n_probe"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -284,6 +286,8 @@ def train_drmarl(
     a_max = env_config.action_max
     n = env_config.n_destinations
     m = group_set.size
+    if train_config.fixed_group is not None and train_config.fixed_group >= m:
+        raise ValueError(f"fixed_group {train_config.fixed_group} is not below the {m} groups")
 
     init_rng = stream(seed, "train/init")
     explore_rng = stream(seed, "train/explore")

@@ -8,8 +8,9 @@ output is linear. The trainers build their networks in NET_DTYPE; the
 float64 default of init_mlp serves the finite-difference gradient checks.
 
 Each net's parameters live in one contiguous vector (MlpParams.flat), and
-the per-layer weights and biases are views into it, so the Adam step runs
-once over the whole vector rather than once per array. Adam is purely
+the per-layer weights and biases are views into it. mlp_backward writes
+the gradient into a vector of the same layout, so the Adam step runs once
+over the whole vector rather than once per array. Adam is purely
 element-wise, so one pass over the concatenation is bit-equal to a pass
 per array.
 """
@@ -72,7 +73,7 @@ class LearnerConfig:
 
 @dataclass
 class MlpParams:
-    """An MLP's parameters, stored as one contiguous vector.
+    """A vector in a net's layout: its parameters, or a gradient of them.
 
     `flat` holds w0, b0, w1, b1, ... in that order, each weight matrix
     row-major; weights[l] (d_in, d_out) and biases[l] (d_out,) are views
@@ -166,11 +167,14 @@ def mlp_forward_cached(params: MlpParams, x: np.ndarray):
     return out, inputs
 
 
-def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarray):
-    """Gradients of sum(grad_out * output) w.r.t. all weights and biases."""
+def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarray) -> MlpParams:
+    """Gradient of sum(grad_out * output) w.r.t. the parameters, in their layout.
+
+    Each layer's weight and bias gradients are written in place into one
+    fresh vector, so `.flat` is the whole gradient.
+    """
+    grads = MlpParams(layer_dims=params.layer_dims, flat=np.empty_like(params.flat))
     grad = np.asarray(grad_out, dtype=params.dtype)
-    grads_w = [None] * params.n_layers
-    grads_b = [None] * params.n_layers
     last = params.n_layers - 1
     for layer in range(last, -1, -1):
         h_in = inputs[layer]
@@ -180,14 +184,14 @@ def mlp_backward(params: MlpParams, inputs: list[np.ndarray], grad_out: np.ndarr
             # allocated by the matmul below, so masking in place is safe.
             post = inputs[layer + 1]
             np.multiply(grad, post > 0.0, out=grad)
-        grads_w[layer] = h_in.T @ grad
-        grads_b[layer] = grad.sum(axis=0)
+        np.matmul(h_in.T, grad, out=grads.weights[layer])
+        grad.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             w = params.weights[layer]
             # with one output, grad @ w.T is an outer product: each entry is
             # one multiply, so broadcasting is bit-equal and skips BLAS
             grad = grad * w[:, 0] if w.shape[1] == 1 else grad @ w.T
-    return grads_w, grads_b
+    return grads
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -212,8 +216,12 @@ class Optimizer:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def apply(self, params: MlpParams, grads_w, grads_b) -> None:
-        grad = np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
+    def apply(self, params: MlpParams, grad: np.ndarray) -> None:
+        """One Adam step on params.flat from `grad`, a vector in its layout.
+
+        `grad` (mlp_backward's `.flat`) is used as scratch: it holds no
+        gradient afterwards, and a view of it sees the overwrite.
+        """
         if self.m is None:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
@@ -247,8 +255,7 @@ def mlp_gradient_step(
     optimizer: Optimizer,
 ) -> None:
     """Backpropagate the output gradient and apply one optimizer update."""
-    grads_w, grads_b = mlp_backward(params, inputs, grad_out)
-    optimizer.apply(params, grads_w, grads_b)
+    optimizer.apply(params, mlp_backward(params, inputs, grad_out).flat)
 
 
 def target_sync(params: MlpParams) -> MlpParams:

@@ -181,51 +181,36 @@ def check_budget_optimality(seed: int = 0, instances: int = 500) -> CheckResult:
     return CheckResult("budget-ip-optimality", True, f"{instances} instances, exact match")
 
 
-def finite_difference_grads(params, inputs_x, grad_out, h: float = 1e-5):
-    """Central-difference gradients of sum(grad_out * forward(x))."""
+def finite_difference_grads(params, inputs_x, grad_out, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of sum(grad_out * forward(x)), in the layout of params.flat.
+
+    Entries are perturbed one at a time, each restored exactly before the next.
+    """
 
     def loss() -> float:
         return float(np.sum(valuenet.mlp_forward(params, inputs_x) * grad_out))
 
-    fd_w, fd_b = [], []
-    for w in params.weights:
-        grad = np.zeros_like(w)
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = w[idx]
-            w[idx] = orig + h
-            up = loss()
-            w[idx] = orig - h
-            down = loss()
-            w[idx] = orig
-            grad[idx] = (up - down) / (2 * h)
-        fd_w.append(grad)
-    for b in params.biases:
-        grad = np.zeros_like(b)
-        for idx in range(b.size):
-            orig = b[idx]
-            b[idx] = orig + h
-            up = loss()
-            b[idx] = orig - h
-            down = loss()
-            b[idx] = orig
-            grad[idx] = (up - down) / (2 * h)
-        fd_b.append(grad)
-    return fd_w, fd_b
+    flat = params.flat
+    grad = np.zeros_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + h
+        up = loss()
+        flat[idx] = orig - h
+        down = loss()
+        flat[idx] = orig
+        grad[idx] = (up - down) / (2 * h)
+    return grad
 
 
 def max_relative_gradient_error(params, rng, batch: int = 4) -> float:
     x = rng.normal(size=(batch, params.layer_dims[0]))
     grad_out = rng.normal(size=(batch, params.layer_dims[-1]))
     _, cache = valuenet.mlp_forward_cached(params, x)
-    an_w, an_b = valuenet.mlp_backward(params, cache, grad_out)
-    fd_w, fd_b = finite_difference_grads(params, x, grad_out)
-    worst = 0.0
-    for analytic, numeric in zip(an_w + an_b, fd_w + fd_b):
-        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-        worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
-    return worst
+    analytic = valuenet.mlp_backward(params, cache, grad_out).flat
+    numeric = finite_difference_grads(params, x, grad_out)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def check_gradients(seed: int = 0, nets: int = 10) -> CheckResult:

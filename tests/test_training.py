@@ -380,6 +380,20 @@ class TestTrainDrmarl:
         steps = train.episodes * env.episode_steps - train.batch_size + 1
         assert (first.gradient_steps, first.target_syncs) == (steps, steps // 5) == (23, 4)
 
+    @pytest.mark.parametrize("fixed_group", [9, 10])
+    def test_rejects_a_fixed_group_beyond_the_group_set_before_any_stream(
+        self, monkeypatch, fixed_group
+    ):
+        env, group_set, train, _ = config.appendix_b_defaults()
+        train = dataclasses.replace(
+            train, episodes=1, worst_case_mode="fixed", fixed_group=fixed_group
+        )
+        made = []
+        monkeypatch.setattr(training, "stream", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=f"fixed_group {fixed_group} is not below the 9"):
+            training.train_drmarl(train, env, group_set, seed=21)
+        assert made == []
+
 
 @dataclasses.dataclass
 class MemoTransition(valuenet.Transition):
@@ -739,3 +753,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="n_probe must be >= 1"):
             training.TrainConfig(worst_case_mode="exhaustive", n_probe=n_probe)
         assert training.TrainConfig(worst_case_mode="exhaustive", n_probe=1).n_probe == 1
+
+    @pytest.mark.parametrize("mode", ["fixed", "random"])
+    def test_rejects_a_negative_fixed_group(self, mode):
+        with pytest.raises(ValueError, match="fixed_group must be >= 0, got -1"):
+            training.TrainConfig(worst_case_mode=mode, fixed_group=-1)
+        assert training.TrainConfig(worst_case_mode=mode, fixed_group=0).fixed_group == 0

@@ -117,10 +117,64 @@ class TestGradientStep:
         params = valuenet.init_mlp([7, 64, 64, 1], rng, dtype=dtype)
         out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(1280, 7)))
         grad_out = rng.normal(size=out.shape).astype(dtype)
-        grads_w, _ = valuenet.mlp_backward(params, cache, grad_out)
+        grads = valuenet.mlp_backward(params, cache, grad_out)
         # the last hidden layer's weight gradient, through the BLAS outer product
         grad = (grad_out @ params.weights[2].T) * (cache[2] > 0.0)
-        assert np.array_equal(grads_w[1], cache[1].T @ grad)
+        assert np.array_equal(grads.weights[1], cache[1].T @ grad)
+
+
+def list_backward(params, inputs, grad_out):
+    """Per-layer weight and bias gradient lists, each array allocated on its own."""
+    grad = np.asarray(grad_out, dtype=params.dtype)
+    grads_w = [None] * params.n_layers
+    grads_b = [None] * params.n_layers
+    last = params.n_layers - 1
+    for layer in range(last, -1, -1):
+        if layer != last:
+            grad = grad * (inputs[layer + 1] > 0.0)
+        grads_w[layer] = inputs[layer].T @ grad
+        grads_b[layer] = grad.sum(axis=0)
+        if layer > 0:
+            w = params.weights[layer]
+            grad = grad * w[:, 0] if w.shape[1] == 1 else grad @ w.T
+    return grads_w, grads_b
+
+
+# the two trainers' nets at their batch sizes, and a float64 net
+NET_CASES = pytest.mark.parametrize(
+    "dims, rows, dtype",
+    [([7, 64, 64, 1], 1280, np.float32), ([120, 64, 64, 9], 64, np.float32),
+     ([5, 16, 3], 32, np.float64)],
+    ids=["q-net", "cb-net", "float64"],
+)
+
+
+class TestFlatBackward:
+    @NET_CASES
+    def test_equals_the_per_layer_lists_bit_for_bit(self, dims, rows, dtype):
+        rng = stream(28, f"test/flat-backward/{dims}")
+        params = valuenet.init_mlp(dims, rng, dtype=dtype)
+        out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(rows, dims[0])))
+        grad_out = rng.normal(size=out.shape).astype(dtype) / rows
+        grads = valuenet.mlp_backward(params, cache, grad_out)
+        grads_w, grads_b = list_backward(params, cache, grad_out)
+        assert grads.layer_dims == params.layer_dims
+        assert grads.flat.dtype == dtype and grads.flat.shape == params.flat.shape
+        assert not np.shares_memory(grads.flat, params.flat)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for got, want in zip(grads.weights + grads.biases, grads_w + grads_b):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(bits), want.view(bits))
+
+    def test_weights_and_biases_are_views_of_flat(self):
+        rng = stream(29, "test/flat-backward/views")
+        params = valuenet.init_mlp([3, 4, 2], rng)
+        out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(5, 3)))
+        grads = valuenet.mlp_backward(params, cache, np.ones_like(out))
+        grads.flat[0] = 7.5
+        assert grads.weights[0][0, 0] == 7.5
+        grads.flat[-1] = -2.0
+        assert grads.biases[-1][-1] == -2.0
 
 
 class PerArrayAdam:
@@ -157,12 +211,7 @@ class PerArrayAdam:
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize(
-        "dims, rows, dtype",
-        [([7, 64, 64, 1], 1280, np.float32), ([120, 64, 64, 9], 64, np.float32),
-         ([5, 16, 3], 32, np.float64)],
-        ids=["q-net", "cb-net", "float64"],
-    )
+    @NET_CASES
     def test_equals_the_per_array_loop_bit_for_bit(self, dims, rows, dtype):
         rng = stream(26, f"test/flat-adam/{dims}")
         params = valuenet.init_mlp(dims, rng, dtype=dtype)
@@ -174,9 +223,10 @@ class TestFlatAdam:
             x = rng.normal(size=(rows, dims[0])).astype(dtype)
             out, cache = valuenet.mlp_forward_cached(params, x)
             grad_out = rng.normal(size=out.shape).astype(dtype) / rows
-            grads_w, grads_b = valuenet.mlp_backward(params, cache, grad_out)
-            flat_adam.apply(params, grads_w, grads_b)
-            oracle.apply(reference, grads_w, grads_b)
+            grads = valuenet.mlp_backward(params, cache, grad_out)
+            # the oracle reads the gradient first: apply uses it as scratch
+            oracle.apply(reference, grads.weights, grads.biases)
+            flat_adam.apply(params, grads.flat)
         assert valuenet.params_digest(params) == valuenet.params_digest(reference)
         assert params.flat.dtype == flat_adam.m.dtype == flat_adam.v.dtype == dtype
         bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
