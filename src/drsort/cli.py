@@ -210,6 +210,13 @@ def _cmd_report(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     report = experiment.run_experiment(cfg, args.out)
+    steps = cfg.env.episode_steps
+    for run in cfg.runs:
+        _warn_if_untrained(
+            run.episodes * steps, cfg.train.batch_size, f"policy of run {run.name!r}"
+        )
+    if any(run.mode == "cb" for run in cfg.runs):
+        _warn_if_untrained(cfg.cb.episodes * steps, cfg.cb.batch_size, "predictor")
     n_ok = len(report["runs"])
     n_err = len(report["errors"])
     out = args.out if args.out is not None else cfg.output_dir

@@ -528,16 +528,20 @@ def evaluate_policy(
 ) -> EvaluationReport:
     """`rollout` of the greedy budgeted policy of the Q-net `params`.
 
-    Each step makes one batched observation and one greedy_actions call.
-    greedy_actions runs the Q forward once per distinct observation row
-    (in padded row blocks of at most valuenet.FORWARD_BLOCK_ROWS, so
-    memory does not grow with K) and the budget argmax once per distinct
-    table stack; both merges are exact, so every episode's actions equal
-    those of a one-at-a-time rollout of that episode.
+    Each step groups the batch's agents by warehouse.observe_distinct,
+    which computes only the distinct observation rows, and makes one
+    greedy_actions call on them. greedy_actions runs the Q forward once per
+    distinct row (in padded row blocks of at most
+    valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with K) and the
+    budget argmax once per distinct table stack; both merges are exact, so
+    every episode's actions equal those of a one-at-a-time rollout of that
+    episode.
     """
 
     def greedy(state: warehouse.WarehouseState) -> np.ndarray:
-        obs = warehouse.observe_all(state, env_config)
-        return greedy_actions(params, obs, env_config.action_max, env_config.n_chutes)
+        rows, row_of = warehouse.observe_distinct(state, env_config)
+        return greedy_actions(
+            params, rows, env_config.action_max, env_config.n_chutes, row_of=row_of
+        )
 
     return rollout(greedy, env_config, group_set, trials, seed, trace_sink, inductions=inductions)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import budget
-from .warehouse import OBS_DIM
+from .warehouse import OBS_DIM, distinct_keys
 
 
 NET_DTYPE = np.float32
@@ -334,63 +334,63 @@ action_value_table_batch = action_value_table
 
 
 def _row_key_weights(width: int) -> np.ndarray:
-    # any fixed weights work: distinct_rows checks every merge bitwise
-    return np.sin(np.arange(1.0, width + 1.0))
+    # powers of 2**64 over the golden ratio, an odd number, wrapped to int64;
+    # any fixed weights work, because distinct_rows checks every merge
+    return np.cumprod(np.full(width, 0x9E3779B97F4A7C15 - 2**64, dtype=np.int64))
 
 
 def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, inverse) of a 2-D array with rows[inverse] bitwise equal to x.
+    """(rows, inverse) of a 2-D signed integer array with rows[inverse] equal to x.
 
-    Rows are grouped by a 1-D projection key, which is far cheaper than
-    np.unique(axis=0). The key is summed column by column, so equal rows
-    get equal keys wherever they sit: a BLAS product `x @ w` rounds a row
-    by its position in the block and gives equal rows different keys, and
-    a wrapping integer product of the bit patterns collides on real
-    observation rows. One argsort of the key orders the rows; each run of
-    equal keys is one distinct row, in ascending key order. A key
-    collision between rows that differ in any bit is caught by a bitwise
-    check, and then nothing is merged: the result is (x, arange(len(x))).
+    greedy_actions groups a batch's table stacks, its (K, N) row indices,
+    with it. Rows are grouped by a 1-D key, which is far cheaper than
+    np.unique(axis=0): the wrapping int64 product `x @ w` with fixed
+    weights. Integer products are exact, so equal rows get equal keys
+    wherever they sit. Each distinct key (warehouse.distinct_keys) is one
+    distinct row, in ascending key order. A key collision between rows that
+    differ is caught by a check of every merge, and then nothing is merged:
+    the result is (x, arange(len(x))).
     """
-    key = sum(x[:, j] * w for j, w in enumerate(_row_key_weights(x.shape[1])))
-    order = np.argsort(key)
-    ranked = key[order]
-    starts = np.empty(len(key), dtype=bool)
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    rows = x[order[starts]]
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    bits = np.dtype(f"u{x.dtype.itemsize}")
-    if np.array_equal(rows[inverse].view(bits), x.view(bits)):
+    if x.dtype.kind != "i":
+        raise TypeError(f"distinct_rows groups signed integer rows, got {x.dtype}")
+    first, inverse = distinct_keys(x @ _row_key_weights(x.shape[1]))
+    rows = x[first]
+    if np.array_equal(rows[inverse], x):
         return rows, inverse
     return x, np.arange(len(x))
 
 
 def greedy_actions(
-    params: MlpParams, observations: np.ndarray, a_max: int, budget_limit: int
+    params: MlpParams,
+    observations: np.ndarray,
+    a_max: int,
+    budget_limit: int,
+    *,
+    row_of: np.ndarray | None = None,
 ) -> np.ndarray:
     """Budgeted argmax joint action(s) of the value decomposition.
 
-    (N, OBS_DIM) observations give one (N,) action; (K, N, OBS_DIM) give (K, N).
+    Without row_of, (N, OBS_DIM) observations give one episode's (N,)
+    action. With row_of, observations are a batch's distinct observation
+    rows and agent (k, i) observes observations[row_of[k, i]], as
+    warehouse.observe_distinct returns them; the result is the (K, N)
+    actions (the (N,) action for an (N,) row_of).
 
-    A batch is deduplicated twice. The shared Q' makes an agent's table
-    row a function of its observation row alone, so the forward runs once
-    per distinct observation row; and episodes whose agents all map to the
-    same distinct rows have the same table stack, so the budget argmax runs
-    once per distinct stack. Both merges are exact (see distinct_rows and
-    action_value_table), so every action equals a per-episode call's. A
-    single episode is not deduplicated: feature 0 is the agent index, so
-    its N rows are always distinct.
+    The shared Q' makes an agent's table row a function of its observation
+    row alone, so the forward runs once per given row; and episodes whose
+    agents all map to the same rows have the same table stack, so the
+    budget argmax runs once per distinct stack (see distinct_rows). Both
+    are exact (see action_value_table), so every action equals a
+    per-episode call's.
     """
-    if observations.ndim == 2:
-        table = action_value_table(params, observations, a_max)
-        return budget.solve_budget_argmax(table, budget_limit)
-    n_batch, n_agents, obs_dim = observations.shape
-    rows, row_of = distinct_rows(observations.reshape(-1, obs_dim))
-    tables = action_value_table(params, rows, a_max)
-    stacks, stack_of = distinct_rows(row_of.reshape(n_batch, n_agents))
+    if row_of is None and observations.ndim != 2:
+        raise ValueError("a batch's observations need row_of (see warehouse.observe_distinct)")
+    tables = action_value_table(params, observations, a_max)
+    if row_of is None:
+        return budget.solve_budget_argmax(tables, budget_limit)
+    stacks, stack_of = distinct_rows(row_of.reshape(-1, row_of.shape[-1]))
     actions = budget.solve_budget_argmax(tables[stacks], budget_limit)
-    return actions[stack_of]
+    return actions[stack_of].reshape(row_of.shape)
 
 
 # ---------------------------------------------------------------------------

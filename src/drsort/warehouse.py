@@ -167,8 +167,16 @@ def step(
     )
 
 
-def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
-    """(N, OBS_DIM) matrix of all agents' observations; (K, N, OBS_DIM) for a batch.
+def _backlog_cap(config: EnvConfig) -> int:
+    """The backlog scale: feature 4 is the backlog over it, clipped at 1."""
+    return max(config.step_volume, 1)
+
+
+def _feature_rows(index, available, chutes, backlog, t: int, config: EnvConfig) -> np.ndarray:
+    """Observation rows of agents given by their integers: chutes.shape + (OBS_DIM,).
+
+    chutes and backlog have one entry per agent; index and available
+    broadcast to their shape.
 
     Features, all scaled to [0, 1]:
       0. normalized agent index
@@ -178,15 +186,84 @@ def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
       4. this agent's recirculation backlog / V, clipped at 1
     """
     n = config.n_destinations
-    available = config.n_chutes - state.chutes_assigned.sum(axis=-1, keepdims=True)
-    backlog_scale = max(config.step_volume, 1)
-    obs = np.empty(state.chutes_assigned.shape + (OBS_DIM,))
-    obs[..., 0] = np.arange(n) / (n - 1) if n > 1 else 0.0
+    cap = _backlog_cap(config)
+    obs = np.empty(chutes.shape + (OBS_DIM,))
+    obs[..., 0] = index / (n - 1) if n > 1 else 0.0
     obs[..., 1] = available / config.n_chutes
-    obs[..., 2] = state.chutes_assigned / config.action_max
-    obs[..., 3] = state.t / config.episode_steps
-    obs[..., 4] = np.minimum(state.recirc_backlog / backlog_scale, 1.0)
+    obs[..., 2] = chutes / config.action_max
+    obs[..., 3] = t / config.episode_steps
+    # min(b, V) / V is bitwise min(b / V, 1): both are exactly 1.0 once b >= V
+    obs[..., 4] = np.minimum(backlog, cap) / cap
     return obs
+
+
+def observe_all(state: WarehouseState, config: EnvConfig) -> np.ndarray:
+    """(N, OBS_DIM) matrix of all agents' observations; (K, N, OBS_DIM) for a batch.
+
+    The features are those of _feature_rows.
+    """
+    available = config.n_chutes - state.chutes_assigned.sum(axis=-1, keepdims=True)
+    return _feature_rows(
+        np.arange(config.n_destinations), available, state.chutes_assigned,
+        state.recirc_backlog, state.t, config,
+    )
+
+
+def observe_distinct(state: WarehouseState, config: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, row_of): the distinct rows of observe_all(state) and each agent's row.
+
+    rows[row_of] is bitwise equal to observe_all(state, config); row_of has
+    the state's (N,) or (K, N) shape, and no two rows are equal. An agent's
+    row is a function of four integers, as t is shared by the batch: its
+    index, its episode's free chutes, its own chutes, and its backlog
+    clipped at V. They are packed into one int64 code per agent, the codes
+    grouped by one argsort, and only the distinct rows computed, in
+    ascending code order.
+
+    A config with more than 2**63 codes, N x (M+1) x (A_max+1) x (V+1),
+    is a ValueError, and so is a state with chutes outside [0, A_max],
+    more than M assigned or a negative backlog.
+    """
+    n, m, a_max = config.n_destinations, config.n_chutes, config.action_max
+    cap = _backlog_cap(config)
+    if n * (m + 1) * (a_max + 1) * (cap + 1) > 2**63:
+        raise ValueError(
+            f"observation codes N x (M+1) x (A_max+1) x (V+1) = {n} x {m + 1} x "
+            f"{a_max + 1} x {cap + 1} go beyond int64"
+        )
+    chutes = state.chutes_assigned
+    available = m - chutes.sum(axis=-1, keepdims=True)
+    backlog = np.minimum(state.recirc_backlog, cap)
+    if chutes.min() < 0 or chutes.max() > a_max or available.min() < 0 or backlog.min() < 0:
+        raise ValueError(
+            "state has chutes outside [0, A_max], more than M assigned or a negative backlog"
+        )
+    code = ((np.arange(n) * (m + 1) + available) * (a_max + 1) + chutes) * (cap + 1) + backlog
+    flat = code.ravel()
+    first, row_of = distinct_keys(flat)
+    rest, backlog = np.divmod(flat[first], cap + 1)
+    rest, chutes = np.divmod(rest, a_max + 1)
+    index, available = np.divmod(rest, m + 1)
+    rows = _feature_rows(index, available, chutes, backlog, state.t, config)
+    return rows, row_of.reshape(code.shape)
+
+
+def distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) grouping the equal entries of a 1-D array.
+
+    keys[first] are the distinct values in ascending order, and
+    keys[first][inverse] equals keys. One argsort orders the keys; each run
+    of equal keys is one group, and first holds the position of one of its
+    members.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _metrics(total_sorted: int, total_recirc: int) -> EpisodeMetrics:

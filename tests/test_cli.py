@@ -209,6 +209,34 @@ def test_a_run_shorter_than_one_batch_says_so_on_stderr(capsys, tmp_path):
                    "--policy-checkpoint", policy, "--out", tmp_path) == (cli.EXIT_OK, "")
 
 
+def test_an_experiment_names_each_run_shorter_than_one_batch_on_stderr(capsys, tmp_path):
+    def experiment(runs):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "master_seed": 0, "evaluation": {"seed": 1, "trials": 1}, "cb": {"episodes": 3},
+            "output_dir": str(tmp_path / "out"), "runs": runs,
+        }), encoding="utf-8")
+        code = cli.main(["experiment", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert out.startswith(f"experiment complete: {len(runs)} runs succeeded, 0 failed")
+        return err
+
+    runs = [
+        {"name": "marl-center", "mode": "fixed", "group": 5, "episodes": 6, "seeds": [1]},
+        {"name": "drmarl-cb", "mode": "cb", "episodes": 6, "seeds": [1]},
+        {"name": "long", "mode": "random", "episodes": 7, "seeds": [1]},
+        {"name": "empty", "mode": "random", "episodes": 0, "seeds": [1]},
+    ]
+    assert experiment(runs) == (
+        "warning: 60 steps < batch_size 64; the policy of run 'marl-center' is untrained\n"
+        "warning: 60 steps < batch_size 64; the policy of run 'drmarl-cb' is untrained\n"
+        "warning: 30 steps < batch_size 64; the predictor is untrained\n"
+    )
+    # no cb run trains no predictor, so none is named
+    assert experiment(runs[2:]) == ""
+
+
 def test_train_cb_train_and_eval_chain(capsys, tmp_path):
     assert run(capsys, "train", "--mode", "fixed", "--group", 5, "--episodes", 1,
                "--seed", 1, "--out", tmp_path)[0] == cli.EXIT_OK

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,34 @@ def test_same_arguments_give_identical_draws():
 )
 def test_any_changed_argument_changes_the_stream(other):
     assert not np.array_equal(raw(stream(*other)), raw(stream(1, "eval", 0, 1)))
+
+
+M64 = (1 << 64) - 1
+BOUNDARIES = [0, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**64 + 5]
+
+
+def oracle(seed, name, *qualifiers):
+    """The stream as SeedSequence builds it from the masked ints themselves."""
+    token = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "little")
+    entropy = [seed & M64, token, *(q & M64 for q in qualifiers)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+@pytest.mark.parametrize("value", BOUNDARIES)
+def test_boundary_values_give_the_oracle_state(value):
+    for args in ((value, "eval"), (1, "eval", value), (value, "train/replay", value, 7)):
+        assert stream(*args).bit_generator.state == oracle(*args).bit_generator.state, args
+
+
+def test_random_arguments_give_the_oracle_state():
+    draw = random.Random(20)
+    for _ in range(200):
+        seed = draw.choice([draw.randrange(2**31), draw.randrange(-(2**70), 2**70)])
+        name = draw.choice(["eval", "train/init", "", "é/" + str(draw.randrange(100))])
+        qualifiers = [draw.choice([draw.randrange(64), draw.randrange(-(2**66), 2**66)])
+                      for _ in range(draw.randrange(4))]
+        args = (seed, name, *qualifiers)
+        assert stream(*args).bit_generator.state == oracle(*args).bit_generator.state, args
 
 
 def test_qualifiers_and_master_seed_are_masked_to_64_bits():

@@ -346,25 +346,36 @@ class TestLockstepEvaluation:
     @pytest.mark.parametrize("name", ["appendix-b", "main"])
     def test_grouping_merges_every_equal_row(self, monkeypatch, trained_policies, name):
         env, group_set, params, seed = trained_policies[name]
-        grouped = []
-        real = valuenet.distinct_rows
+        observed, stacked = [], []
+        real_observe, real_distinct = warehouse.observe_distinct, valuenet.distinct_rows
 
-        def recording(x):
-            grouped.append(x.copy())
-            return real(x)
+        def observing(state, config):
+            rows, row_of = real_observe(state, config)
+            observed.append((warehouse.observe_all(state, config), rows, row_of))
+            return rows, row_of
 
-        monkeypatch.setattr(valuenet, "distinct_rows", recording)
+        def stacking(x):
+            stacked.append(x.copy())
+            return real_distinct(x)
+
+        monkeypatch.setattr(warehouse, "observe_distinct", observing)
+        monkeypatch.setattr(valuenet, "distinct_rows", stacking)
         training.evaluate_policy(params, env, group_set, trials=20, seed=seed)
         episodes = group_set.size * 20
-        shapes = [(episodes * env.n_destinations, valuenet.OBS_DIM), (episodes, env.n_destinations)]
-        assert [x.shape for x in grouped] == shapes * env.episode_steps
-        for x in grouped:
-            bits = x.view(np.dtype(f"u{x.dtype.itemsize}"))
-            rows, inverse = real(x)
+        assert len(observed) == env.episode_steps
+        assert [x.shape for x in stacked] == [(episodes, env.n_destinations)] * env.episode_steps
+        for obs, rows, row_of in observed:
+            assert obs.shape == (episodes, env.n_destinations, valuenet.OBS_DIM)
+            bits = obs.reshape(-1, valuenet.OBS_DIM).view(np.uint64)
             assert len(rows) == len(np.unique(bits, axis=0))
-            assert np.array_equal(rows[inverse].view(bits.dtype), bits)
+            assert np.array_equal(rows[row_of].view(np.uint64), obs.view(np.uint64))
+        for x in stacked:
+            rows, inverse = real_distinct(x)
+            assert len(rows) == len(np.unique(x, axis=0))
+            assert np.array_equal(rows[inverse], x)
         # every step's observation rows merge; its stacks merge at t=0 at least
-        assert all(len(real(x)[0]) < len(x) for x in grouped[::2] + grouped[1:2])
+        assert all(len(rows) < episodes * env.n_destinations for _, rows, _ in observed)
+        assert len(real_distinct(stacked[0])[0]) < episodes
 
 
 class TestTrainDrmarl:

@@ -181,6 +181,102 @@ class TestObserve:
                 state = warehouse.reset(config)
 
 
+def random_batch(config, k, rng, t=3):
+    """A (k, N) state of feasible chutes and backlogs around V, many agents alike.
+
+    Each episode spends at most M chutes; backlogs come from a few values
+    below, at and above V (the clip), and every other episode repeats its
+    predecessor's chutes.
+    """
+    n, cap = config.n_destinations, max(config.step_volume, 1)
+    chutes = np.zeros((k, n), dtype=int)
+    for row in chutes:
+        budget_left = config.n_chutes
+        for i in rng.permutation(n):
+            row[i] = rng.integers(0, min(config.action_max, budget_left) + 1)
+            budget_left -= row[i]
+    chutes[1::2] = chutes[0::2][: len(chutes[1::2])]
+    levels = np.array([0, 1, cap - 1, cap, cap + 1, 3 * cap])
+    backlog = levels[rng.integers(0, len(levels), size=(k, n))]
+    return warehouse.WarehouseState(
+        t=t, chutes_assigned=chutes, recirc_backlog=backlog,
+        cum_recirc=np.zeros(k, dtype=int), cum_sorted=np.zeros(k, dtype=int),
+    )
+
+
+def assert_groups_observe_all(state, config):
+    """rows[row_of] is observe_all bitwise, and no two rows are equal."""
+    rows, row_of = warehouse.observe_distinct(state, config)
+    obs = warehouse.observe_all(state, config)
+    assert row_of.shape == state.chutes_assigned.shape
+    assert np.array_equal(rows[row_of].view(np.uint64), obs.view(np.uint64))
+    assert len(np.unique(rows.view(np.uint64), axis=0)) == len(rows)
+    return rows
+
+
+class TestObserveDistinct:
+    @pytest.mark.parametrize("config", [
+        warehouse.EnvConfig(),
+        warehouse.main_formulation_config(),
+        warehouse.EnvConfig(step_volume=0),
+        warehouse.EnvConfig(n_destinations=1, n_chutes=3, action_max=10),
+        small_config(n_chutes=5, action_max=3),
+    ], ids=["appendix-b", "main", "no-volume", "one-destination", "small"])
+    def test_rows_rebuild_observe_all_bitwise(self, config):
+        rng = stream(15, "test/observe-distinct")
+        for k, t in ((1, 0), (7, 3), (180, config.episode_steps)):
+            state = random_batch(config, k, rng, t)
+            rows = assert_groups_observe_all(state, config)
+            if k > 1 and config.n_destinations > 1:
+                assert len(rows) < state.chutes_assigned.size
+            # one episode's (N,) state, and a tile of it
+            single = replace(state, chutes_assigned=state.chutes_assigned[0],
+                             recirc_backlog=state.recirc_backlog[0], cum_recirc=0, cum_sorted=0)
+            assert len(assert_groups_observe_all(single, config)) == config.n_destinations
+            tiled = assert_groups_observe_all(warehouse.tile(single, 5), config)
+            assert len(tiled) == config.n_destinations
+
+    def test_backlogs_at_and_above_v_share_a_row(self):
+        config = small_config()
+        state = replace(warehouse.tile(warehouse.reset(config), 2),
+                        recirc_backlog=np.array([[16, 17, 99], [99, 16, 17]]))
+        rows, row_of = warehouse.observe_distinct(state, config)
+        assert len(rows) == 3 and np.all(rows[:, 4] == 1.0)
+        assert np.array_equal(row_of[0], row_of[1])
+
+    def test_the_largest_code_space_int64_holds_is_exact(self):
+        # N x (M+1) x (A_max+1) x (V+1) = 2 x 2**20 x 2**20 x 2**22 = 2**63 codes
+        config = warehouse.EnvConfig(n_destinations=2, n_chutes=2**20 - 1,
+                                     action_max=2**20 - 1, step_volume=2**22 - 1)
+        top = config.n_chutes
+        state = warehouse.WarehouseState(
+            t=1,
+            chutes_assigned=np.array([[top, 0], [0, top], [0, 0], [top, 0]]),
+            recirc_backlog=np.array([[config.step_volume, 0], [0, 2**40], [1, 1], [2**23, 0]]),
+            cum_recirc=np.zeros(4, dtype=int), cum_sorted=np.zeros(4, dtype=int),
+        )
+        assert len(assert_groups_observe_all(state, config)) == 6
+
+    def test_a_code_space_beyond_int64_is_a_value_error(self):
+        config = warehouse.EnvConfig(n_destinations=2, n_chutes=2**20 - 1,
+                                     action_max=2**20 - 1, step_volume=2**22)
+        with pytest.raises(ValueError, match=r"2 x 1048576 x 1048576 x 4194305 .*int64"):
+            warehouse.observe_distinct(warehouse.reset(config), config)
+
+    @pytest.mark.parametrize("chutes, backlog", [
+        ([2, 0, 0], [0, 0, 0]),  # above A_max
+        ([1, 1, 1], [0, 0, 0]),  # more than M assigned
+        ([-1, 0, 0], [0, 0, 0]),
+        ([0, 0, 0], [0, -1, 0]),
+    ], ids=["over-a-max", "over-budget", "negative-chutes", "negative-backlog"])
+    def test_a_state_out_of_range_is_a_value_error(self, chutes, backlog):
+        config = small_config()
+        state = replace(warehouse.reset(config), chutes_assigned=np.array(chutes),
+                        recirc_backlog=np.array(backlog))
+        with pytest.raises(ValueError, match="negative backlog"):
+            warehouse.observe_distinct(state, config)
+
+
 def summed_metrics(outcomes):
     """Oracle: episode metrics re-summed from every step's sorted and recirculated counts."""
     total_sorted = int(sum(int(o.sorted.sum()) for o in outcomes))
