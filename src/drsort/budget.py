@@ -6,12 +6,20 @@ knapsack with unit weights per action level, solved exactly by dynamic
 programming over (agent, remaining budget) in O(N * budget * A_max).
 
 A stack of B tables is solved together with the batch axis last: the
-suffix table dp has shape (N+1, pad+budget+1, B), so each agent costs
-three numpy calls for the whole stack (a gather, an add and a max over
-the action level), and the reconstruction one (pad+1, B) gather per
-agent. A single table is the B=1 case of the same code. Every dp entry
-is the max over a of one addition tables[k, i, a] + dp[i+1, pad+b-a, k];
-max is exact, so the layout cannot change a value.
+suffix table dp has shape (N+1, pad+budget+1, B). One read-only strided
+view of dp, windows[i, a, b, k] = dp[i, pad+b-a, k], holds every
+candidate the recursion reads (agent i reads windows[i+1]), so each
+agent costs one add of its levels into a preallocated buffer and one max
+over the action level, for the whole stack. Every dp entry is the max
+over a of one addition tables[k, i, a] + dp[i+1, pad+b-a, k]; max is
+exact, so the layout cannot change a value.
+
+The reconstruction takes, per agent, the first level whose candidate
+attains that max. A single table (every training step's greedy action)
+finds every agent's choice at every budget in one pass over the windows
+and then follows the budget left from agent to agent in Python; a stack
+(the lockstep evaluation) walks the agents in turn and reads each
+table's candidates from dp with one flat take.
 
 Tie-breaking is a frozen contract: among optimal joint actions, the
 lexicographically smallest vector (smaller action first, then smaller
@@ -39,17 +47,28 @@ def _check_table(values: np.ndarray, ndims: tuple[int, ...] = (2,)) -> np.ndarra
     return values
 
 
-def _suffix_table(tables: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dp, levels) for a (B, N, A+1) stack, with the batch axis last.
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+
+
+def _suffix_table(
+    tables: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dp, levels, windows) for a (B, N, A+1) stack, with the batch axis last.
 
     levels[i, a, k] = tables[k, i, a] for a <= pad = min(A, budget) (a
     strided view: copying it costs more than the strided add saves), and
     dp[i, pad + b, k] is the best value of table k's agents i..N-1 with
     budget b; the first `pad` columns hold -inf, so a level above the
-    budget b is never the max. Each agent costs three numpy calls for the
-    whole stack: one gather of dp[i+1] at columns pad + b - a, one in-place
-    add of levels[i], and one max over a, which is an element-wise max of
-    contiguous (budget+1, B) slabs.
+    budget b is never the max.
+
+    windows[i, a, b, k] = dp[i, pad + b - a, k], for i = 0..N, is a
+    read-only view of dp itself (stride -1 column in a, +1 column in b),
+    built once, so it sees each row of dp as soon as it is written. Each
+    agent i costs two numpy calls for the whole stack: one add of
+    windows[i+1] and levels[i] into a preallocated (pad+1, budget+1, B)
+    buffer, and one max over a into dp[i, pad:].
 
     Each entry is the max over a of the single addition
     tables[k, i, a] + dp[i+1, pad + b - a, k]; max is exact, so the entries
@@ -59,14 +78,22 @@ def _suffix_table(tables: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarr
     n_batch, n_agents, n_actions = tables.shape
     pad = min(n_actions - 1, budget)
     levels = tables[:, :, : pad + 1].transpose(1, 2, 0)
-    rest = pad + np.arange(budget + 1)[None, :] - np.arange(pad + 1)[:, None]
     dp = np.full((n_agents + 1, pad + budget + 1, n_batch), -np.inf)
     dp[n_agents, pad:] = 0.0
+    row_stride, col_stride, batch_stride = dp.strides
+    windows = np.ndarray(
+        (n_agents + 1, pad + 1, budget + 1, n_batch),
+        dtype=dp.dtype,
+        buffer=dp,
+        offset=pad * col_stride,
+        strides=(row_stride, -col_stride, col_stride, batch_stride),
+    )
+    windows.flags.writeable = False
+    cand = np.empty((pad + 1, budget + 1, n_batch))
     for i in range(n_agents - 1, -1, -1):
-        cand = dp[i + 1][rest]
-        cand += levels[i, :, None]
+        np.add(windows[i + 1], levels[i, :, None], out=cand)
         np.maximum.reduce(cand, axis=0, out=dp[i, pad:])
-    return dp, levels
+    return dp, levels, windows
 
 
 def _binary_argmax(tables: np.ndarray, budget: int) -> np.ndarray:
@@ -94,30 +121,63 @@ def solve_budget_argmax(values: np.ndarray, budget: int) -> np.ndarray:
     budget=0 forces the all-zero action (always feasible).
     """
     values = _check_table(values, (2, 3))
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     tables = values if values.ndim == 3 else values[None]
-    n_batch, n_agents, n_actions = tables.shape
-    if n_actions == 2:
+    if tables.shape[2] == 2:
         action = _binary_argmax(tables, budget)
+    elif tables.shape[0] == 1:
+        action = _single_table_choices(tables, budget)[None]
     else:
-        dp, levels = _suffix_table(tables, budget)
-        batch = np.arange(n_batch)
-        level = np.arange(levels.shape[1])[:, None]
-        action = np.zeros((n_batch, n_agents), dtype=int)
-        col = np.full(n_batch, dp.shape[1] - 1)  # dp column of the budget left
-        for i in range(n_agents):
-            cand = dp[i + 1][col - level, batch] + levels[i]
-            # the smallest level that attains the optimum
-            action[:, i] = (cand == dp[i, col, batch]).argmax(axis=0)
-            col -= action[:, i]
+        action = _stack_choices(tables, budget)
     return action if values.ndim == 3 else action[0]
+
+
+def _single_table_choices(tables: np.ndarray, budget: int) -> np.ndarray:
+    """The (N,) optimal action of a (1, N, A+1) stack.
+
+    Agent i's candidates at budget b, windows[i+1, :, b] + levels[i], are the
+    same sums that dp[i, pad + b] is the max of, so their first argmax over
+    the level is the smallest level that attains the optimum. One pass
+    finds it for every (agent, budget) pair; the action then follows the
+    budget left through these (N, budget+1) choices.
+    """
+    _, levels, windows = _suffix_table(tables, budget)
+    choices = (windows[1:, ..., 0] + levels[:, :, None, 0]).argmax(axis=1).tolist()
+    action = []
+    left = budget
+    for row in choices:
+        action.append(row[left])
+        left -= row[left]
+    return np.array(action, dtype=int)
+
+
+def _stack_choices(tables: np.ndarray, budget: int) -> np.ndarray:
+    """The (B, N) optimal actions of a stack, one agent at a time for all tables.
+
+    `pos` is the flat dp index of (i+1, pad + budget left, k); agent i's
+    candidates are dp[i+1, pad + b - a, k] + levels[i, a, k], read with one
+    take, and its level is their first argmax (see _single_table_choices).
+    """
+    dp, levels, _ = _suffix_table(tables, budget)
+    n_agents, n_cols, n_batch = dp.shape[0] - 1, dp.shape[1], dp.shape[2]
+    flat = dp.reshape(-1)
+    slab = n_cols * n_batch
+    pos = slab + (n_cols - 1) * n_batch + np.arange(n_batch)
+    level_offset = np.arange(levels.shape[1])[:, None] * n_batch
+    action = np.empty((n_batch, n_agents), dtype=int)
+    for i in range(n_agents):
+        cand = flat.take(pos - level_offset)
+        cand += levels[i]
+        cand.argmax(axis=0, out=action[:, i])
+        pos += slab - action[:, i] * n_batch
+    return action
 
 
 def max_joint_value(values: np.ndarray, budget: int) -> float:
     """Optimal objective value only (no reconstruction)."""
     values = _check_table(values)
-    dp, _ = _suffix_table(values[None], budget)
+    _check_budget(budget)
+    dp, _, _ = _suffix_table(values[None], budget)
     return float(dp[0, -1, 0])
 
 
@@ -130,6 +190,7 @@ def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
     not the exactness-tested solver).
     """
     tables = np.asarray(tables, dtype=float)
+    _check_budget(budget)
     n_batch, n_agents, n_actions = tables.shape
     if n_actions == 2:
         base = tables[:, :, 0].sum(axis=1)
@@ -140,7 +201,7 @@ def max_joint_value_batch(tables: np.ndarray, budget: int) -> np.ndarray:
             top = np.partition(gains, n_agents - budget, axis=1)[:, n_agents - budget:]
             return base + top.sum(axis=1)
         return base + gains.sum(axis=1)
-    dp, _ = _suffix_table(tables, budget)
+    dp, _, _ = _suffix_table(tables, budget)
     return dp[0, -1]
 
 
@@ -182,6 +243,7 @@ def count_feasible(n_agents: int, a_max: int, budget: int) -> np.ndarray:
     The counts are exact Python ints (an object array): they pass 2**63
     already at N=64 binary agents with budget 32.
     """
+    _check_budget(budget)
     key = (n_agents, a_max, budget)
     cached = _COUNT_CACHE.get(key)
     if cached is not None:

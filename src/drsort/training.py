@@ -481,8 +481,8 @@ def rollout(
     `inductions`, if given, is `draw_evaluation_inductions(env_config,
     group_set, trials, seed)`, drawn once and shared by several policies;
     the episodes then roll out on it without a draw of their own. It must
-    have that shape and be read-only, so no evaluation can alter what the
-    next one sees; otherwise ValueError.
+    have that shape, be read-only, so no evaluation can alter what the
+    next one sees, and hold no negative count; otherwise ValueError.
 
     `trace_sink`, if given, receives the trajectory records
     (warehouse.trace_record) of each group's trial-0 episode: all steps of
@@ -497,6 +497,8 @@ def rollout(
             raise ValueError(f"inductions have shape {inductions.shape}, expected {shape}")
         if inductions.flags.writeable:
             raise ValueError("inductions must be read-only (draw_evaluation_inductions)")
+        if (inductions < 0).any():
+            raise ValueError("inductions hold a negative count")
     traced = {g * trials: [] for g in range(group_set.size)} if trace_sink is not None else {}
     state = warehouse.tile(warehouse.reset(env_config), inductions.shape[1])
     for t, induction in enumerate(inductions):

@@ -139,11 +139,111 @@ class TestBatchedArgmax:
                 assert value.tobytes() == np.float64(budget.max_joint_value(table, m)).tobytes()
                 assert value == budget.joint_value(table, action)
 
+    def test_zero_agents_give_an_empty_action_of_value_zero(self):
+        for a_max in (1, 3):
+            assert budget.solve_budget_argmax(np.zeros((0, a_max + 1)), 2).shape == (0,)
+            assert budget.solve_budget_argmax(np.zeros((4, 0, a_max + 1)), 2).shape == (4, 0)
+            assert budget.max_joint_value_batch(np.zeros((4, 0, a_max + 1)), 2).tolist() == [0.0] * 4
+        assert budget.max_joint_value(np.zeros((0, 4)), 2) == 0.0
+
     def test_rejects_other_ranks(self):
         with pytest.raises(ValueError, match="2-D"):
             budget.solve_budget_argmax(np.zeros((1, 2, 3, 2)), 1)
         with pytest.raises(ValueError, match="2-D"):
             budget.max_joint_value(np.zeros((2, 3, 2)), 1)
+
+
+def gather_suffix_table(tables, budget_limit):
+    """The suffix DP as a per-agent gather, an add and a max: the solver's earlier algorithm."""
+    n_batch, n_agents, n_actions = tables.shape
+    pad = min(n_actions - 1, budget_limit)
+    levels = tables[:, :, : pad + 1].transpose(1, 2, 0)
+    rest = pad + np.arange(budget_limit + 1)[None, :] - np.arange(pad + 1)[:, None]
+    dp = np.full((n_agents + 1, pad + budget_limit + 1, n_batch), -np.inf)
+    dp[n_agents, pad:] = 0.0
+    for i in range(n_agents - 1, -1, -1):
+        cand = dp[i + 1][rest]
+        cand += levels[i, :, None]
+        np.maximum.reduce(cand, axis=0, out=dp[i, pad:])
+    return dp, levels
+
+
+def gather_argmax(tables, budget_limit):
+    """(actions, values) of a stack by the gather DP and a 2-D fancy-index reconstruction."""
+    dp, levels = gather_suffix_table(tables, budget_limit)
+    n_batch, n_agents, _ = tables.shape
+    batch = np.arange(n_batch)
+    level = np.arange(levels.shape[1])[:, None]
+    action = np.zeros((n_batch, n_agents), dtype=int)
+    col = np.full(n_batch, dp.shape[1] - 1)
+    for i in range(n_agents):
+        cand = dp[i + 1][col - level, batch] + levels[i]
+        action[:, i] = (cand == dp[i, col, batch]).argmax(axis=0)
+        col -= action[:, i]
+    return action, dp[0, -1]
+
+
+class TestAgainstTheGatherDp:
+    """The strided-window solver equals the gather DP byte for byte at the main formulation's size.
+
+    N=20 agents with 11 levels is far beyond brute force (11**20 joint
+    actions), so the reference is the earlier algorithm itself.
+    """
+
+    @staticmethod
+    def stacks(n_tables):
+        rng = stream(14, "test/gather-dp", n_tables)
+        tie_heavy = rng.integers(0, 3, size=(n_tables, 20, 11)).astype(float)
+        float32 = rng.normal(size=(n_tables, 20, 11)).astype(np.float32)
+        float32[:, :, 7] = float32[:, :, 6]  # tied levels within an agent
+        float32[:, 3] = float32[:, 12]  # tied agents
+        return {"tie-heavy": tie_heavy, "float32": float32}
+
+    @pytest.mark.parametrize("n_tables", [1, 2, 8, 64])
+    def test_actions_and_values_equal_the_gather_dp(self, n_tables):
+        for name, stack in self.stacks(n_tables).items():
+            wide = stack.astype(float)
+            for m in range(13):
+                want_action, want_value = gather_argmax(wide, m)
+                action = budget.solve_budget_argmax(stack, m)
+                assert action.dtype == want_action.dtype, (name, m)
+                assert np.array_equal(action, want_action), (name, m)
+                value = budget.max_joint_value_batch(stack, m)
+                assert value.tobytes() == want_value.tobytes(), (name, m)
+                if n_tables == 1:
+                    assert np.array_equal(budget.solve_budget_argmax(stack[0], m), want_action[0])
+                    assert budget.max_joint_value(stack[0], m) == want_value[0]
+
+    def test_suffix_tables_equal_the_gather_dp(self):
+        for stack in self.stacks(8).values():
+            for m in (0, 1, 5, 10, 12):
+                dp, levels, windows = budget._suffix_table(stack.astype(float), m)
+                want_dp, want_levels = gather_suffix_table(stack.astype(float), m)
+                assert dp.tobytes() == want_dp.tobytes()
+                assert np.array_equal(levels, want_levels)
+                pad = levels.shape[1] - 1
+                rest = pad + np.arange(m + 1)[None, :] - np.arange(pad + 1)[:, None]
+                assert np.array_equal(windows, dp[:, rest])  # dp[i, pad+b-a, k]
+                assert not windows.flags.writeable
+                assert np.shares_memory(windows, dp)
+
+
+class TestNegativeBudget:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: budget.solve_budget_argmax(np.zeros((3, 4)), m),
+            lambda m: budget.max_joint_value(np.zeros((3, 4)), m),
+            lambda m: budget.max_joint_value_batch(np.zeros((2, 3, 4)), m),
+            lambda m: budget.max_joint_value_batch(np.zeros((2, 3, 2)), m),
+            lambda m: budget.sample_feasible_uniform(3, 2, m, stream(0, "test/negative")),
+        ],
+        ids=["solve", "max_joint_value", "max_joint_value_batch", "max_joint_value_batch-binary",
+             "sample_feasible_uniform"],
+    )
+    def test_is_one_value_error(self, call):
+        with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+            call(-1)
 
 
 class TestBruteForce:

@@ -203,6 +203,11 @@ class TestEvaluatePolicy:
             training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=shared.copy())
         with pytest.raises(ValueError):
             shared[0, 0, 0] = 1
+        negative = shared.copy()
+        negative[3, 5, 1] = -1
+        negative.flags.writeable = False
+        with pytest.raises(ValueError, match="negative"):
+            training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=negative)
 
     def test_rejects_zero_trials(self):
         env, group_set, _, _ = config.appendix_b_defaults()

@@ -194,6 +194,27 @@ class TestFlatBackward:
         assert grads.biases[-1][-1] == -2.0
 
 
+class TestEinsumBiasSum:
+    """mlp_backward sums a bias gradient of >= 2 columns by einsum("ij->j"), not sum(axis=0).
+
+    On every contiguous array of two or more columns tried here, einsum adds
+    the rows in the same order as the ufunc, so the sums are byte-equal. A
+    numpy whose einsum adds in another order fails this test. One column is
+    the exception: there sum(axis=0) adds pairwise and einsum does not, so
+    the one-output layer keeps sum(axis=0) (TestFlatBackward checks it).
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_sum_over_rows_byte_for_byte(self, dtype):
+        rng = stream(30, f"test/einsum-bias/{np.dtype(dtype).name}")
+        for rows in (1, 2, 3, 7, 8, 9, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 1280, 4096):
+            for cols in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65, 130):
+                scale = rng.choice([1e-3, 1.0, 1e3], size=(rows, cols))
+                grad = (rng.normal(size=(rows, cols)) * scale).astype(dtype)
+                got = np.einsum("ij->j", grad, out=np.empty(cols, dtype))
+                assert got.tobytes() == grad.sum(axis=0).tobytes(), (rows, cols)
+
+
 class PerArrayAdam:
     """Adam run array by array, the per-layer loop that the flat Optimizer.apply replaced."""
 
