@@ -196,8 +196,7 @@ def train_cb(
     )
     optimizer = Optimizer(learning_rate=cb_config.learning_rate)
     scale = warehouse.reward_unit(env_config)
-    # the replay columns; a run never stores more steps than it takes
-    ring = ReplayRing(min(cb_config.buffer_capacity, cb_config.episodes * env_config.episode_steps))
+    ring = ReplayRing(cb_config.replay_capacity(env_config.episode_steps))
     contexts = np.empty((ring.capacity, params.layer_dims[0]), dtype=NET_DTYPE)
     groups = np.empty(ring.capacity, dtype=np.int64)
     rewards = np.empty(ring.capacity)

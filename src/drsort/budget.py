@@ -30,6 +30,7 @@ so DP and enumeration agree on exact floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -232,11 +233,10 @@ def brute_force_argmax(values: np.ndarray, budget: int) -> np.ndarray:
     return np.asarray(best_action, dtype=int)
 
 
-_COUNT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+@functools.lru_cache(maxsize=None)
 def count_feasible(n_agents: int, a_max: int, budget: int) -> np.ndarray:
     """counts[i][b] = number of feasible suffix assignments for agents i.. with budget b.
 
@@ -244,17 +244,12 @@ def count_feasible(n_agents: int, a_max: int, budget: int) -> np.ndarray:
     already at N=64 binary agents with budget 32.
     """
     _check_budget(budget)
-    key = (n_agents, a_max, budget)
-    cached = _COUNT_CACHE.get(key)
-    if cached is not None:
-        return cached
     counts = np.zeros((n_agents + 1, budget + 1), dtype=object)
     counts[n_agents] = 1
     for i in range(n_agents - 1, -1, -1):
         for b in range(budget + 1):
             counts[i, b] = sum(counts[i + 1, b - a] for a in range(min(a_max, b) + 1))
     counts.setflags(write=False)
-    _COUNT_CACHE[key] = counts
     return counts
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: train, cb-train, eval, verify, report, experiment. What each
 one trains, evaluates and writes is done by `experiment`, `training` and
-`verify`, the same functions the experiment runner calls.
+`verify`, the same functions `run_experiment` calls.
 Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime failure.
 """
 
@@ -209,7 +209,6 @@ def _cmd_report(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    report = experiment.run_experiment(cfg, args.out)
     steps = cfg.env.episode_steps
     for run in cfg.runs:
         _warn_if_untrained(
@@ -217,6 +216,7 @@ def _cmd_experiment(args) -> int:
         )
     if any(run.mode == "cb" for run in cfg.runs):
         _warn_if_untrained(cfg.cb.episodes * steps, cfg.cb.batch_size, "predictor")
+    report = experiment.run_experiment(cfg, args.out)
     n_ok = len(report["runs"])
     n_err = len(report["errors"])
     out = args.out if args.out is not None else cfg.output_dir

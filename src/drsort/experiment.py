@@ -8,7 +8,7 @@ shares:
   cb_s<seed>.csv         train_predictor: predictor training-loss curves
   checkpoints/*.json     save_policy (policies), train_predictor (predictors);
                          load_policy and load_predictor read them back
-  report.json            ExperimentRunner.run: per-run, per-group detail, errors
+  report.json            run_experiment: per-run, per-group detail, errors
 """
 
 from __future__ import annotations
@@ -137,103 +137,57 @@ def evaluation_to_doc(report: training.EvaluationReport) -> dict:
     }
 
 
-class ExperimentRunner:
-    """Runs a config's policy matrix; failures are recorded per run."""
+def _train_one(config: ExperimentConfig, out: Path, run: RunSpec, seed: int, inductions,
+               anchors: dict[int, valuenet.MlpParams],
+               predictors: dict[int, valuenet.MlpParams]) -> dict:
+    """Train, evaluate and save one (run, seed) job; return its report.json entry.
 
-    def __init__(self, config: ExperimentConfig, output_dir: Path | None = None):
-        self.config = config
-        self.out = Path(output_dir) if output_dir is not None else Path(config.output_dir)
-        self.checkpoint_dir = self.out / "checkpoints"
-        self._cb_cache: dict[int, valuenet.MlpParams] = {}
-        self._marl_anchor: dict[int, valuenet.MlpParams] = {}
-        self.run_docs: list[dict] = []
-        self.errors: list[dict] = []
+    A cb job first trains the seed's predictor, once per seed, exploring
+    on the seed's anchor. A fixed job's policy becomes the seed's anchor
+    as soon as it has trained, if the seed has none yet.
+    """
+    run.check(config.group_set.size, lambda field: f"{run.name}.{field}")
+    train_cfg = run.train_config(config.train)
+    if run.mode == "cb" and seed not in predictors:
+        predictors[seed] = train_predictor(
+            config.env, config.group_set, config.cb, seed, anchors.get(seed),
+            out / "checkpoints" / f"cb-s{seed}.json", out / f"cb_s{seed}.csv",
+        ).params
+    cb_params = predictors[seed] if run.mode == "cb" else None
+    t0 = time.perf_counter()
+    result = training.train_drmarl(train_cfg, config.env, config.group_set, seed, cb_params)
+    train_seconds = time.perf_counter() - t0
+    if run.mode == "fixed":
+        anchors.setdefault(seed, result.params)
 
-    def _ensure_cb(self, seed: int) -> valuenet.MlpParams:
-        if seed not in self._cb_cache:
-            cfg = self.config
-            result = train_predictor(
-                cfg.env, cfg.group_set, cfg.cb, seed, self._marl_anchor.get(seed),
-                self.checkpoint_dir / f"cb-s{seed}.json", self.out / f"cb_s{seed}.csv",
-            )
-            self._cb_cache[seed] = result.params
-        return self._cb_cache[seed]
-
-    def _train_one(self, run: RunSpec, seed: int, inductions) -> dict:
-        cfg = self.config
-        run.check(cfg.group_set.size, lambda field: f"{run.name}.{field}")
-        train_cfg = run.train_config(cfg.train)
-        cb_params = self._ensure_cb(seed) if run.mode == "cb" else None
-        t0 = time.perf_counter()
-        result = training.train_drmarl(train_cfg, cfg.env, cfg.group_set, seed, cb_params)
-        train_seconds = time.perf_counter() - t0
-        if run.mode == "fixed" and seed not in self._marl_anchor:
-            self._marl_anchor[seed] = result.params
-
-        evaluation = training.evaluate_policy(
-            result.params, cfg.env, cfg.group_set, cfg.eval_trials, cfg.eval_seed,
-            inductions=inductions,
-        )
-        tag = f"{run.name}-s{seed}"
-        trace_path = self.out / f"trace_{tag}.csv"
-        write_trace_csv(trace_path, result.trace)
-        checkpoint_path = self.checkpoint_dir / f"{tag}.json"
-        save_policy(checkpoint_path, result.params, train_cfg,
-                    {"run": run.name, "seed": seed, "mode": run.mode, "group": run.group})
-        return {
-            "name": run.name,
-            "seed": seed,
-            "mode": run.mode,
-            "group": run.group,
-            "episodes": run.episodes,
-            "train_wall_clock_s": train_seconds,
-            "gradient_steps": result.gradient_steps,
-            "target_syncs": result.target_syncs,
-            # entry k counts the env steps trained on group k + 1
-            "group_histogram": result.group_counts,
-            "bootstrap_hit_rate": result.bootstrap_hit_rate,
-            "cb_digest_before": result.cb_digest_before,
-            "cb_digest_after": result.cb_digest_after,
-            "trace": trace_path.name,
-            "checkpoint": str(checkpoint_path.relative_to(self.out)),
-            "evaluation": evaluation_to_doc(evaluation),
-        }
-
-    def run(self) -> dict:
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        jobs = [(run, seed) for run in self.config.runs for seed in run.seeds]
-        # Fixed-mode jobs run first; a stable sort keeps config order within
-        # both kinds. A seed's CB exploration then anchors on the first fixed
-        # run in the config that lists that seed, wherever its cb runs stand.
-        jobs.sort(key=lambda job: job[0].mode != "fixed")
-        # every policy is evaluated on the same episodes, so they are drawn once
-        cfg = self.config
-        inductions = training.draw_evaluation_inductions(
-            cfg.env, cfg.group_set, cfg.eval_trials, cfg.eval_seed
-        )
-        for run, seed in jobs:
-            try:
-                self.run_docs.append(self._train_one(run, seed, inductions))
-            except Exception as exc:  # noqa: BLE001 - isolate per-run failures
-                self.errors.append(
-                    {
-                        "name": run.name,
-                        "seed": seed,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    }
-                )
-        report = {
-            "config": config_to_doc(self.config),
-            "runs": self.run_docs,
-            "errors": self.errors,
-        }
-        (self.out / "report.json").write_text(
-            json.dumps(report, indent=2), encoding="utf-8"
-        )
-        write_metrics_csv(self.out / "metrics.csv", self.config, self.run_docs)
-        return report
+    evaluation = training.evaluate_policy(
+        result.params, config.env, config.group_set, config.eval_trials, config.eval_seed,
+        inductions=inductions,
+    )
+    tag = f"{run.name}-s{seed}"
+    trace_path = out / f"trace_{tag}.csv"
+    write_trace_csv(trace_path, result.trace)
+    checkpoint_path = out / "checkpoints" / f"{tag}.json"
+    save_policy(checkpoint_path, result.params, train_cfg,
+                {"run": run.name, "seed": seed, "mode": run.mode, "group": run.group})
+    return {
+        "name": run.name,
+        "seed": seed,
+        "mode": run.mode,
+        "group": run.group,
+        "episodes": run.episodes,
+        "train_wall_clock_s": train_seconds,
+        "gradient_steps": result.gradient_steps,
+        "target_syncs": result.target_syncs,
+        # entry k counts the env steps trained on group k + 1
+        "group_histogram": result.group_counts,
+        "bootstrap_hit_rate": result.bootstrap_hit_rate,
+        "cb_digest_before": result.cb_digest_before,
+        "cb_digest_after": result.cb_digest_after,
+        "trace": trace_path.name,
+        "checkpoint": str(checkpoint_path.relative_to(out)),
+        "evaluation": evaluation_to_doc(evaluation),
+    }
 
 
 def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]) -> None:
@@ -257,8 +211,36 @@ def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]
 
 
 def run_experiment(config: ExperimentConfig, output_dir: Path | None = None) -> dict:
-    """Train all configured policies, evaluate on every group, write reports."""
-    return ExperimentRunner(config, output_dir).run()
+    """Train all configured policies, evaluate each on every group, write the reports.
+
+    A failing (run, seed) job is recorded under "errors" and the others go on.
+    Fixed-mode jobs run first; a stable sort keeps config order within both
+    kinds. A seed's cb runs then use one predictor that explored on the
+    first fixed run in the config that lists that seed, wherever its cb
+    runs stand.
+    """
+    out = Path(output_dir) if output_dir is not None else Path(config.output_dir)
+    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
+    jobs = [(run, seed) for run in config.runs for seed in run.seeds]
+    jobs.sort(key=lambda job: job[0].mode != "fixed")
+    # every policy is evaluated on the same episodes, so they are drawn once
+    inductions = training.draw_evaluation_inductions(
+        config.env, config.group_set, config.eval_trials, config.eval_seed
+    )
+    anchors: dict[int, valuenet.MlpParams] = {}
+    predictors: dict[int, valuenet.MlpParams] = {}
+    run_docs, errors = [], []
+    for run, seed in jobs:
+        try:
+            run_docs.append(_train_one(config, out, run, seed, inductions, anchors, predictors))
+        except Exception as exc:  # noqa: BLE001 - isolate per-run failures
+            errors.append({"name": run.name, "seed": seed,
+                           "error": f"{type(exc).__name__}: {exc}",
+                           "traceback": traceback.format_exc()})
+    report = {"config": config_to_doc(config), "runs": run_docs, "errors": errors}
+    (out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
+    write_metrics_csv(out / "metrics.csv", config, run_docs)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ so the live state is never copied or advanced.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -300,11 +301,12 @@ def train_drmarl(
     target_params = target_sync(params)
     optimizer = Optimizer(learning_rate=train_config.learning_rate)
     scale = warehouse.reward_unit(env_config)
-    # a run never stores more steps than it takes
-    replay = QReplay(
-        min(train_config.buffer_capacity, train_config.episodes * env_config.episode_steps),
-        n,
-        a_max,
+    replay = QReplay(train_config.replay_capacity(env_config.episode_steps), n, a_max)
+    # the worst-case strategy, bound once; each step supplies only what it sees
+    adversary = functools.partial(
+        select_worst_group, mode, group_set=group_set, env_config=env_config,
+        rng=probe_rng if mode == "exhaustive" else group_rng, cb_params=cb_params,
+        fixed_group=train_config.fixed_group, n_probe=train_config.n_probe,
     )
 
     result = TrainResult(params=params, group_counts=[0] * m)
@@ -312,8 +314,6 @@ def train_drmarl(
         result.cb_digest_before = params_digest(cb_params)
 
     step_count = 0
-    gradient_steps = 0
-    target_era = 0
     for episode in range(1, train_config.episodes + 1):
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
@@ -333,18 +333,7 @@ def train_drmarl(
                 )
             else:
                 action = greedy_actions(params, obs, a_max, env_config.n_chutes)
-            group = select_worst_group(
-                mode,
-                group_set=group_set,
-                state=state,
-                observations=obs,
-                action=action,
-                env_config=env_config,
-                rng=probe_rng if mode == "exhaustive" else group_rng,
-                cb_params=cb_params,
-                fixed_group=train_config.fixed_group,
-                n_probe=train_config.n_probe,
-            )
+            group = adversary(state=state, observations=obs, action=action)
             result.group_counts[group] += 1
             induction = group_set.sample(group, induction_rng)
             outcome = warehouse.step(state, action, induction, env_config)
@@ -360,17 +349,17 @@ def train_drmarl(
             if len(replay.ring) >= train_config.batch_size:
                 slots = replay.ring.draw(train_config.batch_size, replay_rng)
                 loss, lookups, recomputed = _gradient_step(
-                    params, target_params, optimizer, replay, slots, target_era,
+                    params, target_params, optimizer, replay, slots, result.target_syncs,
                     gamma=train_config.gamma,
                     budget_limit=env_config.n_chutes,
                 )
                 losses.append(loss)
                 result.bootstrap_lookups += lookups
                 result.bootstrap_recomputes += recomputed
-                gradient_steps += 1
-                if gradient_steps % train_config.target_sync_every == 0:
+                result.gradient_steps += 1
+                if result.gradient_steps % train_config.target_sync_every == 0:
                     target_params = target_sync(params)
-                    target_era += 1
+                    result.target_syncs += 1
             state = next_state
             obs = next_obs
             step_count += 1
@@ -389,8 +378,6 @@ def train_drmarl(
         )
     if cb_params is not None:
         result.cb_digest_after = params_digest(cb_params)
-    result.gradient_steps = gradient_steps
-    result.target_syncs = target_era
     return result
 
 
@@ -482,7 +469,7 @@ def rollout(
     group_set, trials, seed)`, drawn once and shared by several policies;
     the episodes then roll out on it without a draw of their own. It must
     have that shape, be read-only, so no evaluation can alter what the
-    next one sees, and hold no negative count; otherwise ValueError.
+    next one sees, and hold integer counts, none negative; otherwise ValueError.
 
     `trace_sink`, if given, receives the trajectory records
     (warehouse.trace_record) of each group's trial-0 episode: all steps of
@@ -495,6 +482,8 @@ def rollout(
         shape = (env_config.episode_steps, group_set.size * trials, env_config.n_destinations)
         if inductions.shape != shape:
             raise ValueError(f"inductions have shape {inductions.shape}, expected {shape}")
+        if inductions.dtype.kind not in "iu":
+            raise ValueError(f"inductions have dtype {inductions.dtype}, expected integer counts")
         if inductions.flags.writeable:
             raise ValueError("inductions must be read-only (draw_evaluation_inductions)")
         if (inductions < 0).any():

@@ -70,6 +70,10 @@ class LearnerConfig:
             return self.epsilon_end
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * (step / horizon)
 
+    def replay_capacity(self, steps_per_episode: int) -> int:
+        """Replay slots for a run: buffer_capacity, but never more than the steps it takes."""
+        return min(self.buffer_capacity, self.episodes * steps_per_episode)
+
 
 @dataclass
 class MlpParams:

@@ -127,6 +127,38 @@ class TestTrainCb:
         assert len(episode_losses) == cb.episodes
 
 
+    def test_columns_hold_no_more_slots_than_the_run_takes(self, monkeypatch):
+        env, group_set, _, cb = config.appendix_b_defaults()
+        cb = dataclasses.replace(
+            cb, episodes=3, batch_size=8, buffer_capacity=50_000, explore="random"
+        )
+        rings, columns = [], []
+
+        class Recording(valuenet.ReplayRing):
+            def __init__(self, *args):
+                super().__init__(*args)
+                rings.append(self)
+
+        class RecordingNumpy:
+            # train_cb allocates its three columns, and nothing else, with np.empty
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                columns.append(np.empty(*args, **kwargs))
+                return columns[-1]
+
+        monkeypatch.setattr(bandit, "ReplayRing", Recording)
+        monkeypatch.setattr(bandit, "np", RecordingNumpy())
+        bandit.train_cb(env, group_set, cb, 46)
+        (ring,) = rings
+        steps = cb.episodes * env.episode_steps
+        assert ring.capacity == len(ring) == steps == 30
+        contexts, groups, rewards = columns
+        assert contexts.shape == (steps, bandit.cb_context_dim(env.n_destinations))
+        assert groups.shape == rewards.shape == (steps,)
+
+
 class TestCbConfig:
     def test_checkpoint_exploration_is_rejected(self):
         with pytest.raises(ValueError, match="unknown explore kind 'checkpoint'"):
@@ -197,6 +229,16 @@ class TestChooseGroup:
         assert len(counts) == self.m and counts.min() > 0
         # 300 expected per group; 5 standard deviations is about 82
         assert np.abs(counts - 300).max() < 90
+
+
+class TestReplayCapacity:
+    @pytest.mark.parametrize(
+        ("episodes", "capacity", "expected"),
+        [(3, 50_000, 30), (3, 30, 30), (3, 29, 29), (0, 64, 0), (5_000, 50_000, 50_000)],
+    )
+    def test_is_the_buffer_capacity_or_the_steps_a_run_takes(self, episodes, capacity, expected):
+        learner = valuenet.LearnerConfig(episodes=episodes, batch_size=8, buffer_capacity=capacity)
+        assert learner.replay_capacity(10) == expected
 
 
 class TestEpsilonAt:

@@ -237,6 +237,24 @@ def test_an_experiment_names_each_run_shorter_than_one_batch_on_stderr(capsys, t
     assert experiment(runs[2:]) == ""
 
 
+def test_an_experiment_warns_before_it_trains(capsys, tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("training started")
+
+    monkeypatch.setattr(cli.experiment, "run_experiment", failing)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "master_seed": 0, "evaluation": {"seed": 1, "trials": 1}, "cb": {"episodes": 3},
+        "output_dir": str(tmp_path / "out"),
+        "runs": [{"name": "drmarl-cb", "mode": "cb", "episodes": 6, "seeds": [1]}],
+    }), encoding="utf-8")
+    assert run(capsys, "experiment", "--config", cfg) == (cli.EXIT_RUNTIME, (
+        "warning: 60 steps < batch_size 64; the policy of run 'drmarl-cb' is untrained\n"
+        "warning: 30 steps < batch_size 64; the predictor is untrained\n"
+        "runtime error: RuntimeError: training started\n"
+    ))
+
+
 def test_train_cb_train_and_eval_chain(capsys, tmp_path):
     assert run(capsys, "train", "--mode", "fixed", "--group", 5, "--episodes", 1,
                "--seed", 1, "--out", tmp_path)[0] == cli.EXIT_OK

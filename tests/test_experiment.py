@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from drsort import cli, config, experiment, training, valuenet
+from drsort import bandit, cli, config, experiment, training, valuenet
 
 CENTER = {"name": "marl-center", "mode": "fixed", "group": config.CENTER_GROUP,
           "episodes": 2, "seeds": [1, 2]}
@@ -136,6 +136,34 @@ def test_cb_run_without_an_anchor_is_recorded_as_an_error(tmp_path):
     assert [(d["name"], d["seed"]) for d in report["runs"]] == [
         ("marl-center", 1), ("drmarl-cb", 1),
     ]
+
+
+def test_each_seeds_predictor_trains_once_on_its_first_fixed_run(monkeypatch, tmp_path):
+    # two cb runs share seed 1, listed before the fixed runs that list it
+    runs = [dict(CB, seeds=[1]), dict(CB, name="drmarl-cb-again", seeds=[1]),
+            dict(CENTER, seeds=[1]), dict(CENTER, name="marl-group-1", group=1, seeds=[1])]
+    events = []
+    real_train, real_cb = training.train_drmarl, bandit.train_cb
+
+    def recording_train(train_config, env_config, group_set, seed, *args, **kwargs):
+        result = real_train(train_config, env_config, group_set, seed, *args, **kwargs)
+        events.append(("train", train_config.worst_case_mode, train_config.fixed_group,
+                       seed, result.params))
+        return result
+
+    def recording_cb(env_config, group_set, cb_config, seed, q_params=None):
+        events.append(("cb", seed, q_params))
+        return real_cb(env_config, group_set, cb_config, seed, q_params=q_params)
+
+    monkeypatch.setattr(training, "train_drmarl", recording_train)
+    monkeypatch.setattr(bandit, "train_cb", recording_cb)
+    report = experiment.run_experiment(tiny_config(runs), tmp_path)
+    assert report["errors"] == []
+    assert [event[:4] for event in events] == [
+        ("train", "fixed", config.CENTER_GROUP - 1, 1), ("train", "fixed", 0, 1),
+        ("cb", 1, events[0][4]), ("train", "cb", None, 1), ("train", "cb", None, 1),
+    ]
+    assert events[2][2] is events[0][4]
 
 
 def test_run_name_with_a_comma_survives_metrics_csv(tmp_path):

@@ -209,6 +209,22 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match="negative"):
             training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=negative)
 
+    def test_rejects_inductions_that_are_not_integer_counts(self):
+        # warehouse.step would truncate every fractional count without a word
+        env, group_set = small_setup()
+        params = random_q_params(env, 12)
+        shared = training.draw_evaluation_inductions(env, group_set, 2, seed=21)
+        fractional = shared + 0.7
+        fractional.flags.writeable = False
+        with pytest.raises(ValueError, match="expected integer counts"):
+            training.evaluate_policy(params, env, group_set, 2, seed=21, inductions=fractional)
+        unsigned = shared.astype(np.uint16)
+        unsigned.flags.writeable = False
+        plain = training.evaluate_policy(params, env, group_set, 2, seed=21)
+        assert training.evaluate_policy(
+            params, env, group_set, 2, seed=21, inductions=unsigned
+        ).per_group == plain.per_group
+
     def test_rejects_zero_trials(self):
         env, group_set, _, _ = config.appendix_b_defaults()
         with pytest.raises(ValueError, match="trials"):
