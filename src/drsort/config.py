@@ -8,9 +8,9 @@ Each rule has one owner. The reader (`_read`) owns types: each field's
 type is its dataclass annotation, and unknown or missing keys are errors.
 The dataclasses own ranges: EnvConfig, valuenet.LearnerConfig (the fields
 both trainers share), TrainConfig, CbConfig and the group specs check
-their values, and RunSpec checks a run's mode, group, episodes and seeds.
-parse_config owns the cross-field rules: an env whose N and V equal the
-group set's, unique run names, and evaluation trials >= 1.
+their values, and RunSpec checks a run's name, mode, group, episodes and
+seeds. parse_config owns the cross-field rules: an env whose N and V equal
+the group set's, unique run names, and evaluation trials >= 1.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ class RunSpec:
 
     def check(self, n_groups: int, at) -> None:
         """Raise a ConfigError at `at(field)` if the run breaks a rule."""
+        if "/" in self.name or "\0" in self.name:
+            raise ConfigError(at("name"), "names output files, so it may hold no '/' or NUL")
         if self.episodes < 0:
             raise ConfigError(at("episodes"), "must be >= 0")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):

@@ -252,13 +252,23 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     """Rebuild metrics.csv and a convergence CSV from a finished matrix.
 
     The convergence file carries cumulative wall-clock per episode so
-    training-efficiency curves can be plotted directly.
+    training-efficiency curves can be plotted directly. A report.json that
+    is not valid JSON, not a JSON object or lacks `config` or `runs` is a
+    ConfigError naming the file, raised before either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
     if not report_path.exists():
         raise FileNotFoundError(f"no report.json under {runs_dir}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(str(report_path), f"not valid JSON: {exc}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(str(report_path), "the top level is not a JSON object")
+    for key in ("config", "runs"):
+        if key not in report:
+            raise ConfigError(str(report_path), f"missing field {key!r}")
     config = parse_config(json.dumps(report["config"]))
     for doc in report["runs"]:
         if not (runs_dir / doc["trace"]).exists():

@@ -113,9 +113,13 @@ def pack_mlp(layer_dims, weights, biases, dtype) -> MlpParams:
     """MlpParams holding copies of per-layer arrays, checked against layer_dims.
 
     weights[l] must have shape (d_in, d_out) or be that matrix raveled, as a
-    checkpoint stores it, and biases[l] shape (d_out,). A ValueError names
-    the first field that breaks this.
+    checkpoint stores it, and biases[l] shape (d_out,). Every width in
+    layer_dims is an integer >= 1 (not a float or a bool). A ValueError
+    names the first field that breaks this.
     """
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+               for d in layer_dims):
+        raise ValueError(f"layer_dims {list(layer_dims)} holds a width that is not an integer >= 1")
     layer_dims = [int(d) for d in layer_dims]
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
@@ -343,33 +347,6 @@ def action_value_table(params: MlpParams, observations: np.ndarray, a_max: int) 
 action_value_table_batch = action_value_table
 
 
-def _row_key_weights(width: int) -> np.ndarray:
-    # powers of 2**64 over the golden ratio, an odd number, wrapped to int64;
-    # any fixed weights work, because distinct_rows checks every merge
-    return np.cumprod(np.full(width, 0x9E3779B97F4A7C15 - 2**64, dtype=np.int64))
-
-
-def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, inverse) of a 2-D signed integer array with rows[inverse] equal to x.
-
-    greedy_actions groups a batch's table stacks, its (K, N) row indices,
-    with it. Rows are grouped by a 1-D key, which is far cheaper than
-    np.unique(axis=0): the wrapping int64 product `x @ w` with fixed
-    weights. Integer products are exact, so equal rows get equal keys
-    wherever they sit. Each distinct key (warehouse.distinct_keys) is one
-    distinct row, in ascending key order. A key collision between rows that
-    differ is caught by a check of every merge, and then nothing is merged:
-    the result is (x, arange(len(x))).
-    """
-    if x.dtype.kind != "i":
-        raise TypeError(f"distinct_rows groups signed integer rows, got {x.dtype}")
-    first, inverse = distinct_keys(x @ _row_key_weights(x.shape[1]))
-    rows = x[first]
-    if np.array_equal(rows[inverse], x):
-        return rows, inverse
-    return x, np.arange(len(x))
-
-
 def greedy_actions(
     params: MlpParams,
     observations: np.ndarray,
@@ -389,17 +366,19 @@ def greedy_actions(
     The shared Q' makes an agent's table row a function of its observation
     row alone, so the forward runs once per given row; and episodes whose
     agents all map to the same rows have the same table stack, so the
-    budget argmax runs once per distinct stack (see distinct_rows). Both
-    are exact (see action_value_table), so every action equals a
-    per-episode call's.
+    budget argmax runs once per distinct stack, grouped by
+    warehouse.distinct_keys. Both are exact (see action_value_table), and
+    each table is solved on its own, so every action equals a per-episode
+    call's.
     """
     if row_of is None and observations.ndim != 2:
         raise ValueError("a batch's observations need row_of (see warehouse.observe_distinct)")
     tables = action_value_table(params, observations, a_max)
     if row_of is None:
         return budget.solve_budget_argmax(tables, budget_limit)
-    stacks, stack_of = distinct_rows(row_of.reshape(-1, row_of.shape[-1]))
-    actions = budget.solve_budget_argmax(tables[stacks], budget_limit)
+    flat = row_of.reshape(-1, row_of.shape[-1])
+    first, stack_of = distinct_keys(flat)
+    actions = budget.solve_budget_argmax(tables[flat[first]], budget_limit)
     return actions[stack_of].reshape(row_of.shape)
 
 

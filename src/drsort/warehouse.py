@@ -249,18 +249,25 @@ def observe_distinct(state: WarehouseState, config: EnvConfig) -> tuple[np.ndarr
 
 
 def distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) grouping the equal entries of a 1-D array.
+    """(first, inverse) grouping the equal entries of 1-D keys or the equal rows of a 2-D array.
 
-    keys[first] are the distinct values in ascending order, and
-    keys[first][inverse] equals keys. One argsort orders the keys; each run
-    of equal keys is one group, and first holds the position of one of its
-    members.
+    Entries (rows) share a group exactly when they are equal, and
+    keys[first][inverse] equals keys. One argsort orders 1-D keys, one
+    lexsort over the columns orders rows (the last column first); each run
+    of equal entries is one group, in ascending order, and first holds the
+    position of one of its members. Only integer dtypes are grouped: float
+    keys, where -0.0 == 0.0, are a TypeError.
     """
-    order = np.argsort(keys)
+    if keys.dtype.kind not in "iu" or keys.ndim not in (1, 2):
+        raise TypeError(f"distinct_keys groups 1-D or 2-D integers, got {keys.dtype} {keys.shape}")
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
     ranked = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    if keys.ndim == 1:
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    else:
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse

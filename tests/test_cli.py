@@ -133,8 +133,11 @@ def test_a_checkpoint_of_the_wrong_kind_or_widths_exits_2(
         (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
         (lambda doc: doc["weights"].pop(), "weights holds 2 layers, where layer_dims"),
         (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
+        (lambda doc: doc.update(layer_dims=[7.9, 64, 64, 1.5]),
+         "layer_dims [7.9, 64, 64, 1.5] holds a width that is not an integer >= 1"),
+        (lambda doc: doc["layer_dims"].__setitem__(1, 0), "layer_dims [7, 0, 64, 1] holds"),
     ],
-    ids=["missing-key", "short-weight-list", "int8-dtype"],
+    ids=["missing-key", "short-weight-list", "int8-dtype", "fractional-widths", "zero-width"],
 )
 def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path, edit, message):
     path = write_policy(tmp_path / "policy.json")
@@ -296,4 +299,21 @@ def test_an_experiment_config_with_a_float_for_an_int_exits_2_before_writing(cap
     code, err = run(capsys, "experiment", "--config", cfg)
     assert code == cli.EXIT_CONFIG
     assert "$.train.target_sync_every" in err
+    assert not out.exists()
+
+
+def test_an_experiment_run_name_with_a_slash_exits_2_before_training(capsys, tmp_path, monkeypatch):
+    def training(*args, **kwargs):
+        raise RuntimeError("training started")
+
+    monkeypatch.setattr(cli.experiment, "run_experiment", training)
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "master_seed": 0, "evaluation": {"seed": 1}, "output_dir": str(out),
+        "runs": [{"name": "a/b", "mode": "random", "episodes": 1, "seeds": [1]}],
+    }), encoding="utf-8")
+    code, err = run(capsys, "experiment", "--config", cfg)
+    assert code == cli.EXIT_CONFIG
+    assert "$.runs[0].name: names output files, so it may hold no '/' or NUL" in err
     assert not out.exists()

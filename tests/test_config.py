@@ -114,6 +114,10 @@ LEARNER_ERRORS = [
          "buffer_capacity 10 is smaller than batch_size 64"),
         (minimal_doc(cb={"buffer_capacity": 63}), "$.cb",
          "buffer_capacity 63 is smaller than batch_size 64"),
+        (with_run({"name": "a/b", "mode": "random", "episodes": 1, "seeds": [1]}),
+         "$.runs[1].name", "names output files, so it may hold no '/' or NUL"),
+        (with_run({"name": "a\0b", "mode": "random", "episodes": 1, "seeds": [1]}, 0),
+         "$.runs[0].name", "may hold no '/' or NUL"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

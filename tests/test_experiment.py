@@ -94,6 +94,25 @@ def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical,
     assert not list(rebuilt.glob("*.csv"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON: "),
+    ("[]", "the top level is not a JSON object"),
+    ('{"runs": []}', "missing field 'config'"),
+    ('{"config": {}}', "missing field 'runs'"),
+], ids=["not-json", "top-level-list", "no-config", "no-runs"])
+def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
+    canonical, tmp_path, capsys, text, message
+):
+    out, _ = canonical
+    runs = tmp_path / "runs"
+    shutil.copytree(out, runs)
+    (runs / "report.json").write_text(text, encoding="utf-8")
+    rebuilt = tmp_path / "rebuilt"
+    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
+    assert f"config error: {runs / 'report.json'}: {message}" in capsys.readouterr().err
+    assert not list(rebuilt.glob("*.csv"))
+
+
 def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(
     canonical, tmp_path
 ):

@@ -368,7 +368,7 @@ class TestLockstepEvaluation:
     def test_grouping_merges_every_equal_row(self, monkeypatch, trained_policies, name):
         env, group_set, params, seed = trained_policies[name]
         observed, stacked = [], []
-        real_observe, real_distinct = warehouse.observe_distinct, valuenet.distinct_rows
+        real_observe, real_distinct = warehouse.observe_distinct, valuenet.distinct_keys
 
         def observing(state, config):
             rows, row_of = real_observe(state, config)
@@ -380,7 +380,7 @@ class TestLockstepEvaluation:
             return real_distinct(x)
 
         monkeypatch.setattr(warehouse, "observe_distinct", observing)
-        monkeypatch.setattr(valuenet, "distinct_rows", stacking)
+        monkeypatch.setattr(valuenet, "distinct_keys", stacking)
         training.evaluate_policy(params, env, group_set, trials=20, seed=seed)
         episodes = group_set.size * 20
         assert len(observed) == env.episode_steps
@@ -391,7 +391,8 @@ class TestLockstepEvaluation:
             assert len(rows) == len(np.unique(bits, axis=0))
             assert np.array_equal(rows[row_of].view(np.uint64), obs.view(np.uint64))
         for x in stacked:
-            rows, inverse = real_distinct(x)
+            first, inverse = real_distinct(x)
+            rows = x[first]
             assert len(rows) == len(np.unique(x, axis=0))
             assert np.array_equal(rows[inverse], x)
         # every step's observation rows merge; its stacks merge at t=0 at least

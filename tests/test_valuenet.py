@@ -46,15 +46,15 @@ def vdn_joint_q(params, observations, actions, a_max):
 
 
 def lockstep_greedy(params, observations, a_max, budget_limit):
-    """greedy_actions of a (K, N, OBS_DIM) batch, its rows grouped by distinct_rows.
+    """greedy_actions of a (K, N, OBS_DIM) batch, its rows grouped by distinct_keys.
 
-    distinct_rows groups integer rows, so each observation row stands in
+    distinct_keys groups integer rows, so each observation row stands in
     as its columns' ranks among the batch's values: equal rows, and only
     they, get equal rank rows.
     """
     flat = observations.reshape(-1, observations.shape[-1])
     ranks = np.stack([np.unique(column, return_inverse=True)[1] for column in flat.T], axis=1)
-    _, row_of = valuenet.distinct_rows(ranks)
+    _, row_of = valuenet.distinct_keys(ranks)
     member = np.empty(row_of.max() + 1, dtype=np.intp)
     member[row_of] = np.arange(len(flat))
     return valuenet.greedy_actions(
@@ -425,29 +425,25 @@ def repeated_observations(rng, n_batch, n_agents):
 
 
 class TestDedupe:
-    def test_distinct_rows_rebuild_the_input_bitwise(self):
+    def test_distinct_keys_rebuild_the_rows_bitwise(self):
         x = stream(24, "rows").integers(0, 3, size=(180, 6))
         x[2::3] = x[1::3][: len(x[2::3])]
-        rows, inverse = valuenet.distinct_rows(x)
+        first, inverse = valuenet.distinct_keys(x)
+        rows = x[first]
         assert len(rows) == len(np.unique(x, axis=0)) < len(x)
         assert np.array_equal(rows[inverse], x)
 
     def test_float_rows_are_a_type_error(self):
-        with pytest.raises(TypeError, match="signed integer"):
-            valuenet.distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        with pytest.raises(TypeError, match="integers, got float64"):
+            valuenet.distinct_keys(np.array([[0.0, 1.0], [-0.0, 1.0]]))
 
     @pytest.mark.parametrize("x", [np.empty((0, valuenet.OBS_DIM), np.int32),
                                    np.empty((0, 20), np.intp)])
     def test_no_rows_give_two_empty_arrays(self, x):
-        rows, inverse = valuenet.distinct_rows(x)
+        first, inverse = valuenet.distinct_keys(x)
+        rows = x[first]
         assert rows.shape == x.shape and rows.dtype == x.dtype
         assert inverse.shape == (0,)
-
-    def test_a_key_collision_merges_nothing(self, monkeypatch):
-        monkeypatch.setattr(valuenet, "_row_key_weights", lambda width: np.zeros(width, np.int64))
-        x = np.array([[1, 4], [2, 4], [1, 4]])
-        rows, inverse = valuenet.distinct_rows(x)
-        assert rows is x and np.array_equal(inverse, np.arange(3))
 
     def test_a_batch_without_its_grouping_is_a_value_error(self):
         params = valuenet.init_mlp(valuenet.default_q_dims(1), stream(26, "test/no-grouping"))
@@ -455,9 +451,8 @@ class TestDedupe:
         with pytest.raises(ValueError, match="row_of"):
             valuenet.greedy_actions(params, obs, 1, 2)
 
-    @pytest.mark.parametrize("collide", [False, True])
     @pytest.mark.parametrize("a_max", [1, 10])
-    def test_greedy_actions_equal_the_undeduplicated_solve(self, monkeypatch, a_max, collide):
+    def test_greedy_actions_equal_the_undeduplicated_solve(self, monkeypatch, a_max):
         rng = stream(25, f"test/dedupe/{a_max}")
         params = valuenet.init_mlp(valuenet.default_q_dims(a_max), rng, dtype=np.float32)
         obs = repeated_observations(rng, 45, 21)
@@ -465,9 +460,6 @@ class TestDedupe:
         expected = budget.solve_budget_argmax(
             valuenet.action_value_table(params, obs, a_max), budget_limit
         )
-        if collide:
-            monkeypatch.setattr(valuenet, "_row_key_weights",
-                                lambda width: np.zeros(width, np.int64))
         forward_rows, solved_stacks = [], []
 
         def table_spy(params, observations, a_max):
@@ -484,12 +476,9 @@ class TestDedupe:
         monkeypatch.setattr(budget, "solve_budget_argmax", solve_spy)
         actions = lockstep_greedy(params, obs, a_max, budget_limit)
         assert np.array_equal(actions, expected)
-        if collide:
-            assert forward_rows == [45 * 21] and solved_stacks == [45]
-        else:
-            assert forward_rows == [len(np.unique(obs.reshape(-1, valuenet.OBS_DIM), axis=0))]
-            assert solved_stacks == [len(np.unique(obs.reshape(45, -1), axis=0))]
-            assert forward_rows[0] < 45 * 21 and solved_stacks[0] < 45
+        assert forward_rows == [len(np.unique(obs.reshape(-1, valuenet.OBS_DIM), axis=0))]
+        assert solved_stacks == [len(np.unique(obs.reshape(45, -1), axis=0))]
+        assert forward_rows[0] < 45 * 21 and solved_stacks[0] < 45
 
 
 def column_replay(next_observations, *, a_max=1, reward=0.0, terminal=()):
@@ -766,9 +755,15 @@ class TestCheckpoint:
             (lambda doc: doc.update(layer_dims=[4]), "need at least input and output dims"),
             (lambda doc: doc.update(dtype="no-such-type"), "no-such-type"),
             (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
+            (lambda doc: doc.update(layer_dims=[4.9, 8, 1.5]),
+             "layer_dims [4.9, 8, 1.5] holds a width that is not an integer >= 1"),
+            (lambda doc: doc.update(layer_dims=[4, 8.0, 1]), "layer_dims [4, 8.0, 1] holds"),
+            (lambda doc: doc.update(layer_dims=[4, 8, True]), "layer_dims [4, 8, True] holds"),
+            (lambda doc: doc.update(layer_dims=[4, 0, 1]), "layer_dims [4, 0, 1] holds"),
         ],
         ids=["no-layer-dims", "no-kind", "no-biases", "short-weights", "short-matrix",
-             "long-bias", "one-dim", "bad-dtype", "int8-dtype"],
+             "long-bias", "one-dim", "bad-dtype", "int8-dtype", "fractional-widths",
+             "float-width", "bool-width", "zero-width"],
     )
     def test_a_broken_checkpoint_names_the_field(self, tmp_path, edit, message):
         import json

@@ -277,6 +277,52 @@ class TestObserveDistinct:
             warehouse.observe_distinct(state, config)
 
 
+def one_column_apart(rng):
+    """Rows that repeat, and rows that differ from a neighbour in one column only."""
+    x = rng.integers(0, 3, size=(60, 5))
+    x[1::4] = x[::4]
+    x[2::4] = x[::4]
+    x[2::4, 3] += 1
+    return x
+
+
+class TestDistinctKeys:
+    @pytest.mark.parametrize("x", [
+        one_column_apart(stream(16, "test/distinct-keys")),
+        np.array([[-2**63, 2**63 - 1], [2**63 - 1, -2**63], [-2**63, 2**63 - 1],
+                  [-2**63, -2**63], [2**63 - 1, 2**63 - 1]], dtype=np.int64),
+        np.array([[2**64 - 1, 0, 1], [0, 2**64 - 1, 1], [2**64 - 1, 0, 1], [2**63, 0, 1]],
+                 dtype=np.uint64),
+        np.full((7, 4), -3, dtype=np.int32),
+        np.array([[5], [-1], [5], [0], [-1]]),
+        np.array([[4, 1, 4]], dtype=np.int16),
+        np.empty((0, 20), dtype=np.intp),
+    ], ids=["one-column-apart", "int64-extremes", "uint64", "all-equal", "one-column",
+            "one-row", "no-rows"])
+    def test_rows_group_as_np_unique_does(self, x):
+        first, inverse = warehouse.distinct_keys(x)
+        unique, _ = np.unique(x, axis=0, return_inverse=True)
+        assert len(first) == len(unique)
+        assert inverse.shape == (len(x),)
+        assert np.array_equal(x[first][inverse].view(np.uint8), x.view(np.uint8))
+
+    def test_rows_come_in_ascending_order_last_column_first(self):
+        x = np.array([[2, 1], [1, 2], [1, 1], [2, 1]])
+        first, inverse = warehouse.distinct_keys(x)
+        assert x[first].tolist() == [[1, 1], [2, 1], [1, 2]]
+        assert inverse.tolist() == [1, 2, 0, 1]
+
+    @pytest.mark.parametrize("keys", [
+        np.array([0.0, -0.0, 1.0]),
+        np.array([[0.0, 1.0], [-0.0, 1.0]], dtype=np.float32),
+        np.array([True, False]),
+        np.zeros((2, 2, 2), dtype=np.int64),
+    ], ids=["float-keys", "float-rows", "bool-keys", "3-d-keys"])
+    def test_keys_that_are_not_integers_are_a_type_error(self, keys):
+        with pytest.raises(TypeError, match="integer"):
+            warehouse.distinct_keys(keys)
+
+
 def summed_metrics(outcomes):
     """Oracle: episode metrics re-summed from every step's sorted and recirculated counts."""
     total_sorted = int(sum(int(o.sorted.sum()) for o in outcomes))
