@@ -3,40 +3,6 @@
 import ctypes
 import sys
 
-from .induction import (
-    GroupSet,
-    MultinomialSpec,
-    TruncatedNormalSpec,
-    build_group_set,
-    truncated_normal_probs,
-)
-from .warehouse import (
-    EnvConfig,
-    EpisodeMetrics,
-    StepOutcome,
-    WarehouseState,
-    episode_metrics,
-    reset,
-    step,
-)
-
-__all__ = [
-    "GroupSet",
-    "MultinomialSpec",
-    "TruncatedNormalSpec",
-    "build_group_set",
-    "truncated_normal_probs",
-    "EnvConfig",
-    "EpisodeMetrics",
-    "StepOutcome",
-    "WarehouseState",
-    "episode_metrics",
-    "reset",
-    "step",
-]
-
-__version__ = "0.1.0"
-
 # glibc's malloc maps a block above its mmap threshold (128 KiB at start)
 # with fresh pages, raises that threshold to the size of each such block
 # freed, and hands free memory at the heap top back to the kernel once it

@@ -38,9 +38,9 @@ from .valuenet import (
     ReplayRing,
     greedy_actions,
     init_mlp,
+    mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    mlp_gradient_step,
 )
 
 
@@ -74,8 +74,8 @@ def cb_context(
     return out
 
 
-def cb_context_dim(n_destinations: int, obs_dim: int = warehouse.OBS_DIM) -> int:
-    return n_destinations * obs_dim + n_destinations
+def cb_context_dim(n_destinations: int) -> int:
+    return n_destinations * warehouse.OBS_DIM + n_destinations
 
 
 def default_cb_dims(n_destinations: int, n_groups: int, hidden=LearnerConfig.hidden) -> list[int]:
@@ -127,7 +127,7 @@ def cb_update(
     loss = float(np.mean(errors**2))
     grad_out = np.zeros_like(preds)
     grad_out[rows, groups] = 2.0 * errors / n
-    mlp_gradient_step(params, cache, grad_out, optimizer)
+    optimizer.apply(params, mlp_backward(params, cache, grad_out).flat)
     return loss
 
 

@@ -253,8 +253,10 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
 
     The convergence file carries cumulative wall-clock per episode so
     training-efficiency curves can be plotted directly. A report.json that
-    is not valid JSON, not a JSON object or lacks `config` or `runs` is a
-    ConfigError naming the file, raised before either CSV is written.
+    is not valid JSON, not a JSON object, lacks `config` or `runs`, holds a
+    config that does not parse, or a runs entry without `name`, `seed` or a
+    bare file name as `trace`, is a ConfigError naming the file, raised
+    before either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
@@ -269,10 +271,19 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     for key in ("config", "runs"):
         if key not in report:
             raise ConfigError(str(report_path), f"missing field {key!r}")
-    config = parse_config(json.dumps(report["config"]))
-    for doc in report["runs"]:
-        if not (runs_dir / doc["trace"]).exists():
-            raise FileNotFoundError(f"missing trace {runs_dir / doc['trace']}")
+    try:
+        config = parse_config(json.dumps(report["config"]))
+    except ConfigError as exc:
+        raise ConfigError(str(report_path), f"config {exc}") from None
+    for i, doc in enumerate(report["runs"]):
+        for key in ("name", "seed", "trace"):
+            if key not in doc:
+                raise ConfigError(str(report_path), f"runs[{i}]: missing field {key!r}")
+        trace = doc["trace"]
+        if not isinstance(trace, str) or "/" in trace or trace in ("", ".", ".."):
+            raise ConfigError(str(report_path), f"runs[{i}].trace: {trace!r} is not a file name")
+        if not (runs_dir / trace).exists():
+            raise FileNotFoundError(f"missing trace {runs_dir / trace}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])

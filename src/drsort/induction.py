@@ -23,28 +23,20 @@ import numpy as np
 SIMPLEX_TOL = 1e-12
 
 
-def standard_normal_cdf(z: float) -> float:
-    """Phi(z) via the correctly rounded stdlib error function."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def standard_normal_sf(z: float) -> float:
-    """1 - Phi(z) via erfc, accurate where Phi(z) rounds to 1."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def _normal_mass(lo: float, hi: float) -> float:
-    """Standard-normal mass on [lo, hi].
+    """Standard-normal mass on [lo, hi], from the stdlib's erf and erfc.
 
-    A bin entirely at z > 0 is the difference of survival values, so its
-    mass stays positive where Phi rounds to 1; a bin entirely at z < 0 is
-    its mirror image. Only a bin that straddles 0 differences Phi.
+    A bin entirely at z > 0 is the difference of survival values
+    1 - Phi(z) = erfc(z/sqrt2)/2, so its mass stays positive where Phi
+    rounds to 1; a bin entirely at z < 0 is its mirror image. Only a bin
+    that straddles 0 differences Phi(z) = (1 + erf(z/sqrt2))/2.
     """
+    root2 = math.sqrt(2.0)
     if lo > 0:
-        return standard_normal_sf(lo) - standard_normal_sf(hi)
+        return 0.5 * math.erfc(lo / root2) - 0.5 * math.erfc(hi / root2)
     if hi < 0:
         return _normal_mass(-hi, -lo)
-    return standard_normal_cdf(hi) - standard_normal_cdf(lo)
+    return 0.5 * (1.0 + math.erf(hi / root2)) - 0.5 * (1.0 + math.erf(lo / root2))
 
 
 def _check_simplex(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:

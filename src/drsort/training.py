@@ -47,8 +47,8 @@ from .valuenet import (
     default_q_dims,
     greedy_actions,
     init_mlp,
+    mlp_backward,
     mlp_forward_cached,
-    mlp_gradient_step,
     params_digest,
     q_input_dim,
     q_inputs,
@@ -263,7 +263,7 @@ def _gradient_step(
     loss = float(np.mean(errors**2))
     grad_joint = 2.0 * errors / batch
     grad_out = np.repeat(grad_joint, n_agents)[:, None]
-    mlp_gradient_step(params, cache, grad_out, optimizer)
+    optimizer.apply(params, mlp_backward(params, cache, grad_out).flat)
     return loss, lookups, recomputed
 
 

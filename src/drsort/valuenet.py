@@ -262,16 +262,6 @@ class Optimizer:
         params.flat -= scratch
 
 
-def mlp_gradient_step(
-    params: MlpParams,
-    inputs: list[np.ndarray],
-    grad_out: np.ndarray,
-    optimizer: Optimizer,
-) -> None:
-    """Backpropagate the output gradient and apply one optimizer update."""
-    optimizer.apply(params, mlp_backward(params, inputs, grad_out).flat)
-
-
 def target_sync(params: MlpParams) -> MlpParams:
     """A copy of the parameters that shares no memory with the live ones."""
     return MlpParams(layer_dims=list(params.layer_dims), flat=params.flat.copy())
@@ -282,8 +272,8 @@ def target_sync(params: MlpParams) -> MlpParams:
 # ---------------------------------------------------------------------------
 
 
-def q_input_dim(a_max: int, obs_dim: int = OBS_DIM) -> int:
-    return obs_dim + a_max + 1
+def q_input_dim(a_max: int) -> int:
+    return OBS_DIM + a_max + 1
 
 
 def default_q_dims(a_max: int, hidden: tuple[int, ...] = LearnerConfig.hidden) -> list[int]:

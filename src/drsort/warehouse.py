@@ -44,7 +44,7 @@ def main_formulation_config() -> EnvConfig:
 
 def reward_unit(config: EnvConfig) -> float:
     """1/V: the trainers measure joint rewards in units of one step's volume."""
-    return 1.0 / max(config.step_volume, 1)
+    return 1.0 / _backlog_cap(config)
 
 
 @dataclass(frozen=True, eq=False)

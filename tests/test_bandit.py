@@ -45,7 +45,7 @@ def list_cb_update(params, optimizer, batch):
     loss = float(np.mean(errors**2))
     grad_out = np.zeros_like(preds)
     grad_out[rows, groups] = 2.0 * errors / len(batch)
-    valuenet.mlp_gradient_step(params, cache, grad_out, optimizer)
+    optimizer.apply(params, valuenet.mlp_backward(params, cache, grad_out).flat)
     return loss
 
 

@@ -99,13 +99,25 @@ def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical,
     ("[]", "the top level is not a JSON object"),
     ('{"runs": []}', "missing field 'config'"),
     ('{"config": {}}', "missing field 'runs'"),
-], ids=["not-json", "top-level-list", "no-config", "no-runs"])
+    ('{"config": {}, "runs": []}', "config $.master_seed: missing required field"),
+    ('{"config": CONFIG, "runs": [{"seed": 1, "trace": "t.csv"}]}',
+     "runs[0]: missing field 'name'"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "trace": "t.csv"}]}',
+     "runs[0]: missing field 'seed'"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1}]}', "runs[0]: missing field 'trace'"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "../report.json"}]}',
+     "runs[0].trace: '../report.json' is not a file name"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": ".."}]}',
+     "runs[0].trace: '..' is not a file name"),
+], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
+        "no-seed", "no-trace", "trace-path", "trace-parent"])
 def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
     canonical, tmp_path, capsys, text, message
 ):
-    out, _ = canonical
+    out, report = canonical
     runs = tmp_path / "runs"
     shutil.copytree(out, runs)
+    text = text.replace("CONFIG", json.dumps(report["config"]))
     (runs / "report.json").write_text(text, encoding="utf-8")
     rebuilt = tmp_path / "rebuilt"
     assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG

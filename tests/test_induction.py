@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,25 @@ class TestTruncatedNormalProbs:
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
             induction.TruncatedNormalSpec(mu=0, sigma=0.0, n_destinations=5, volume=1)
+
+    # sha256 of the float64 bytes: the nine appendix-B groups, and two far tails
+    # whose smallest entries (about 5e-103) come from erfc differences only
+    @pytest.mark.parametrize("mu, digest", [
+        (-4.0, "00bec4a1960cdb3d5fd26cdbde45f968af654bcb951b8737c2f5357ab872f2f2"),
+        (-3.0, "04f6084c7d479aaf26cf460e2b86f844da30710531f97b8b49ab6978d61dc950"),
+        (-2.0, "73a5c282d15945d9336b26116435022692e8efaefa9fa36316ee5332affa0951"),
+        (-1.0, "7a9a3e0f966387505f93b893994a49a32da9cb13494d531999a5aecbf79e7313"),
+        (0.0, "54cbe43ca1244668529c66fc88cd2f8d71be9954e05b22bd7a6535350e6733af"),
+        (1.0, "7a075b8508c00318e1cd42a8740d4202f20a048862abfdb71495bf2905bcaf49"),
+        (2.0, "aec06d7937df581c9a04cf3e32cddcc24fdbec811254dd2c3881f0cc8f98e82b"),
+        (3.0, "54d4182640f09a56c8d434a7e2c803d2e4bc169e4dccfaeaa13dc26ea6bc7ac5"),
+        (4.0, "274ca680a60d11f9928dbf5d83f713b8befe3cc483063dfd4c54269b6f683d3f"),
+        (-40.0, "cae37cf2688647464e3d12cdfc3a7fba6ca0d2a5996d925a24130d4507de16d6"),
+        (60.0, "a61eaa7ad57e7d0e74512b7ef470a464d9bf4561c01b390ff3e3489b88e0d78c"),
+    ])
+    def test_keeps_its_bytes(self, mu, digest):
+        probs = induction.truncated_normal_probs(appendix_b_spec(mu=mu))
+        assert hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest() == digest
 
 
 class TestSampleInduction:

@@ -469,7 +469,7 @@ def list_gradient_step(params, target_params, optimizer, batch, era, *, gamma, b
     errors = joint - targets
     grad_joint = 2.0 * errors / len(batch)
     grad_out = np.repeat(grad_joint, n_agents)[:, None]
-    valuenet.mlp_gradient_step(params, cache, grad_out, optimizer)
+    optimizer.apply(params, valuenet.mlp_backward(params, cache, grad_out).flat)
     return float(np.mean(errors**2)), lookups, recomputed
 
 

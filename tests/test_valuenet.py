@@ -104,7 +104,7 @@ class TestGradientStep:
         before = [w.copy() for w in params.weights]
         opt = valuenet.Optimizer(learning_rate=0.1)
         out, cache = valuenet.mlp_forward_cached(params, np.ones((2, 3)))
-        valuenet.mlp_gradient_step(params, cache, np.zeros_like(out), opt)
+        opt.apply(params, valuenet.mlp_backward(params, cache, np.zeros_like(out)).flat)
         for w, w0 in zip(params.weights, before):
             assert np.array_equal(w, w0)
 
@@ -125,7 +125,7 @@ class TestGradientStep:
             out, cache = valuenet.mlp_forward_cached(params, xs)
             err = out - targets
             losses.append(float(np.mean(err**2)))
-            valuenet.mlp_gradient_step(params, cache, 2 * err / len(xs), opt)
+            opt.apply(params, valuenet.mlp_backward(params, cache, 2 * err / len(xs)).flat)
         assert losses[-1] < 0.02 * losses[0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -670,7 +670,7 @@ class TestTargetSync:
         out, cache = valuenet.mlp_forward_cached(params, x)
         opt = valuenet.Optimizer(learning_rate=0.5)
         before = valuenet.mlp_forward(target, x[0]).copy()
-        valuenet.mlp_gradient_step(params, cache, np.ones_like(out), opt)
+        opt.apply(params, valuenet.mlp_backward(params, cache, np.ones_like(out)).flat)
         assert np.array_equal(valuenet.mlp_forward(target, x[0]), before)
         assert not np.array_equal(valuenet.mlp_forward(params, x[0]), before)
 
@@ -681,7 +681,7 @@ class TestTargetSync:
         sync_every = 3
         for step in range(1, 10):
             out, cache = valuenet.mlp_forward_cached(params, np.ones((1, 2)))
-            valuenet.mlp_gradient_step(params, cache, np.ones_like(out), opt)
+            opt.apply(params, valuenet.mlp_backward(params, cache, np.ones_like(out)).flat)
             if step % sync_every == 0:
                 target = valuenet.target_sync(params)
                 assert valuenet.params_digest(target) == valuenet.params_digest(params)
@@ -695,7 +695,7 @@ class TestCheckpoint:
         params = valuenet.init_mlp([4, 8, 3], rng, dtype=np.float32)
         opt = valuenet.Optimizer(learning_rate=1e-3)
         out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(4, 4)))
-        valuenet.mlp_gradient_step(params, cache, np.ones_like(out), opt)
+        opt.apply(params, valuenet.mlp_backward(params, cache, np.ones_like(out)).flat)
         path = tmp_path / "ckpt.json"
         valuenet.save_checkpoint(path, params, kind="vdn", config_digest="abc123")
         loaded = valuenet.load_checkpoint(path)

@@ -133,6 +133,11 @@ class TestStep:
         assert np.array_equal(a.sorted, b.sorted)
         assert np.array_equal(a.next_state.recirc_backlog, b.next_state.recirc_backlog)
 
+    @pytest.mark.parametrize("volume", [0, 1, 1200])
+    def test_reward_unit_is_one_over_the_volume_floored_at_one(self, volume):
+        config = warehouse.EnvConfig(step_volume=volume)
+        assert warehouse.reward_unit(config) == 1.0 / max(volume, 1)
+
 
 class TestObserve:
     def test_fresh_reset_has_full_availability(self):
