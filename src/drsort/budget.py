@@ -6,20 +6,20 @@ knapsack with unit weights per action level, solved exactly by dynamic
 programming over (agent, remaining budget) in O(N * budget * A_max).
 
 A stack of B tables is solved together with the batch axis last: the
-suffix table dp has shape (N+1, pad+budget+1, B). One read-only strided
-view of dp, windows[i, a, b, k] = dp[i, pad+b-a, k], holds every
+suffix table dp has shape (N+1, pad+budget+1, B). One read-only sliding
+window view of dp, windows[i, a, b, k] = dp[i, pad+b-a, k], holds every
 candidate the recursion reads (agent i reads windows[i+1]), so each
 agent costs one add of its levels into a preallocated buffer and one max
 over the action level, for the whole stack. Every dp entry is the max
 over a of one addition tables[k, i, a] + dp[i+1, pad+b-a, k]; max is
 exact, so the layout cannot change a value.
 
-The reconstruction takes, per agent, the first level whose candidate
-attains that max. A single table (every training step's greedy action)
-finds every agent's choice at every budget in one pass over the windows
-and then follows the budget left from agent to agent in Python; a stack
-(the lockstep evaluation) walks the agents in turn and reads each
-table's candidates from dp with one flat take.
+The reconstruction reads the same view and takes, per agent, the first
+level whose candidate attains that max. A single table (every training
+step's greedy action) finds every agent's choice at every budget in one
+pass and then follows the budget left from agent to agent in Python; a
+stack (the lockstep evaluation) walks the agents in turn and reads each
+table's candidates at its own budget left.
 
 Tie-breaking is a frozen contract: among optimal joint actions, the
 lexicographically smallest vector (smaller action first, then smaller
@@ -34,6 +34,7 @@ import functools
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -64,9 +65,9 @@ def _suffix_table(
     budget b; the first `pad` columns hold -inf, so a level above the
     budget b is never the max.
 
-    windows[i, a, b, k] = dp[i, pad + b - a, k], for i = 0..N, is a
-    read-only view of dp itself (stride -1 column in a, +1 column in b),
-    built once, so it sees each row of dp as soon as it is written. Each
+    windows[i, a, b, k] = dp[i, pad + b - a, k], for i = 0..N, is numpy's
+    read-only sliding window of pad+1 columns over dp itself, reversed in
+    a, built once, so it sees each row of dp as soon as it is written. Each
     agent i costs two numpy calls for the whole stack: one add of
     windows[i+1] and levels[i] into a preallocated (pad+1, budget+1, B)
     buffer, and one max over a into dp[i, pad:].
@@ -81,15 +82,7 @@ def _suffix_table(
     levels = tables[:, :, : pad + 1].transpose(1, 2, 0)
     dp = np.full((n_agents + 1, pad + budget + 1, n_batch), -np.inf)
     dp[n_agents, pad:] = 0.0
-    row_stride, col_stride, batch_stride = dp.strides
-    windows = np.ndarray(
-        (n_agents + 1, pad + 1, budget + 1, n_batch),
-        dtype=dp.dtype,
-        buffer=dp,
-        offset=pad * col_stride,
-        strides=(row_stride, -col_stride, col_stride, batch_stride),
-    )
-    windows.flags.writeable = False
+    windows = np.moveaxis(sliding_window_view(dp, pad + 1, axis=1)[..., ::-1], -1, 1)
     cand = np.empty((pad + 1, budget + 1, n_batch))
     for i in range(n_agents - 1, -1, -1):
         np.add(windows[i + 1], levels[i, :, None], out=cand)
@@ -155,22 +148,19 @@ def _single_table_choices(tables: np.ndarray, budget: int) -> np.ndarray:
 def _stack_choices(tables: np.ndarray, budget: int) -> np.ndarray:
     """The (B, N) optimal actions of a stack, one agent at a time for all tables.
 
-    `pos` is the flat dp index of (i+1, pad + budget left, k); agent i's
-    candidates are dp[i+1, pad + b - a, k] + levels[i, a, k], read with one
-    take, and its level is their first argmax (see _single_table_choices).
+    Agent i's candidates in table k, at its budget left, are
+    windows[i+1, :, left[k], k] + levels[i, :, k], read for every table at
+    once; its level is their first argmax (see _single_table_choices).
     """
-    dp, levels, _ = _suffix_table(tables, budget)
-    n_agents, n_cols, n_batch = dp.shape[0] - 1, dp.shape[1], dp.shape[2]
-    flat = dp.reshape(-1)
-    slab = n_cols * n_batch
-    pos = slab + (n_cols - 1) * n_batch + np.arange(n_batch)
-    level_offset = np.arange(levels.shape[1])[:, None] * n_batch
+    _, levels, windows = _suffix_table(tables, budget)
+    n_agents, _, n_batch = levels.shape
+    tables = np.arange(n_batch)
+    left = np.full(n_batch, budget)
     action = np.empty((n_batch, n_agents), dtype=int)
     for i in range(n_agents):
-        cand = flat.take(pos - level_offset)
-        cand += levels[i]
+        cand = windows[i + 1][:, left, tables] + levels[i]
         cand.argmax(axis=0, out=action[:, i])
-        pos += slab - action[:, i] * n_batch
+        left -= action[:, i]
     return action
 
 

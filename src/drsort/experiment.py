@@ -254,9 +254,11 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     The convergence file carries cumulative wall-clock per episode so
     training-efficiency curves can be plotted directly. A report.json that
     is not valid JSON, not a JSON object, lacks `config` or `runs`, holds a
-    config that does not parse, or a runs entry without `name`, `seed` or a
-    bare file name as `trace`, is a ConfigError naming the file, raised
-    before either CSV is written.
+    config that does not parse, a `runs` that is not a list of objects, or a
+    runs entry without `name`, `seed`, a bare file name as `trace`, or a
+    nonempty `evaluation.per_group` list of objects holding the three numbers
+    write_metrics_csv reads, is a ConfigError naming the file, raised before
+    either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
@@ -275,13 +277,28 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
         config = parse_config(json.dumps(report["config"]))
     except ConfigError as exc:
         raise ConfigError(str(report_path), f"config {exc}") from None
+    if not isinstance(report["runs"], list):
+        raise ConfigError(str(report_path), "runs is not a list")
     for i, doc in enumerate(report["runs"]):
+        if not isinstance(doc, dict):
+            raise ConfigError(str(report_path), f"runs[{i}] is not an object")
         for key in ("name", "seed", "trace"):
             if key not in doc:
                 raise ConfigError(str(report_path), f"runs[{i}]: missing field {key!r}")
         trace = doc["trace"]
         if not isinstance(trace, str) or "/" in trace or trace in ("", ".", ".."):
             raise ConfigError(str(report_path), f"runs[{i}].trace: {trace!r} is not a file name")
+        evaluation = doc.get("evaluation")
+        groups = evaluation.get("per_group") if isinstance(evaluation, dict) else None
+        if not isinstance(groups, list) or not groups:
+            raise ConfigError(str(report_path), f"runs[{i}].evaluation.per_group is empty or not a list")
+        for j, group in enumerate(groups):
+            at = f"runs[{i}].evaluation.per_group[{j}]"
+            if not isinstance(group, dict):
+                raise ConfigError(str(report_path), f"{at} is not an object")
+            for key in ("recirc_rate_mean", "throughput_mean", "recirc_amount_mean"):
+                if type(group.get(key)) not in (int, float):
+                    raise ConfigError(str(report_path), f"{at}.{key} is not a number")
         if not (runs_dir / trace).exists():
             raise FileNotFoundError(f"missing trace {runs_dir / trace}")
     out_dir = Path(out_dir)

@@ -43,6 +43,8 @@ def _check_simplex(probs: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("probability vector must be a nonempty 1-D array")
+    if not np.isfinite(probs).all():
+        raise ValueError("probability vector has non-finite entries")
     if np.any(probs < 0.0):
         raise ValueError("probability vector has negative entries")
     if abs(float(probs.sum()) - 1.0) > tol:
@@ -64,6 +66,9 @@ class TruncatedNormalSpec:
     volume: int
 
     def __post_init__(self):
+        for name in ("mu", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.n_destinations < 1:

@@ -49,8 +49,8 @@ class LearnerConfig:
             raise ValueError("epsilon schedule must stay within [0, 1] and be nonincreasing")
         if not 0.0 <= self.epsilon_decay_fraction <= 1.0:
             raise ValueError("epsilon_decay_fraction must lie in [0, 1]")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         for name, least in (("episodes", 0), ("batch_size", 1), ("buffer_capacity", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")

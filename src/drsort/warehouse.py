@@ -12,6 +12,7 @@ trainers scale it by reward_unit(config) = 1/V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,8 @@ class EnvConfig:
             raise ValueError("episode_steps must be >= 1")
         if self.step_volume < 0 or self.action_max < 1 or self.action_penalty < 0:
             raise ValueError("invalid step_volume / action_max / action_penalty")
+        if not math.isfinite(self.action_penalty):
+            raise ValueError(f"action_penalty must be finite, got {self.action_penalty}")
 
 
 def main_formulation_config() -> EnvConfig:
@@ -119,6 +122,20 @@ def tile(state: WarehouseState, k: int) -> WarehouseState:
     )
 
 
+def _whole_counts(values, name: str) -> np.ndarray:
+    """values as an int array; a count that is not a whole number is a ValueError.
+
+    Integer and bool arrays are taken as they are, so only other dtypes pay
+    for the check. It runs before the cast, which would warn on a NaN.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        values = values.astype(float)
+        if not (np.isfinite(values) & (values == np.trunc(values))).all():
+            raise ValueError(f"{name} holds a count that is not a whole number")
+    return values.astype(int, copy=False)
+
+
 def step(
     state: WarehouseState,
     action: np.ndarray,
@@ -130,8 +147,8 @@ def step(
     For a batched state, action and induction are (K, N) and every
     outcome array gains the same leading axis.
     """
-    action = np.asarray(action, dtype=int)
-    induction = np.asarray(induction, dtype=int)
+    action = _whole_counts(action, "action")
+    induction = _whole_counts(induction, "induction")
     shape = state.recirc_backlog.shape
     if action.shape != shape or induction.shape != shape or shape[-1] != config.n_destinations:
         raise ValueError("action and induction must have one entry per destination")

@@ -228,6 +228,26 @@ class TestAgainstTheGatherDp:
                 assert np.shares_memory(windows, dp)
 
 
+class TestDegenerateStacks:
+    """Both reconstructions at the edges of the stack's shape, against per-table brute force."""
+
+    @pytest.mark.parametrize("shape, budget_limit", [
+        ((0, 4, 4), 3),
+        ((3, 0, 4), 2),
+        ((3, 1, 4), 0),
+        ((3, 4, 4), 13),
+    ], ids=["no-tables", "no-agents", "one-agent-budget-0", "budget-above-n-times-a"])
+    def test_both_reconstructions_equal_brute_force(self, shape, budget_limit):
+        stack = stream(15, "test/degenerate", *shape).integers(0, 3, size=shape).astype(float)
+        want = np.zeros(shape[:2], dtype=int)
+        for k, table in enumerate(stack):
+            want[k] = budget.brute_force_argmax(table, budget_limit)
+        assert np.array_equal(budget._stack_choices(stack, budget_limit), want)
+        for table, action in zip(stack, want):
+            assert np.array_equal(budget._single_table_choices(table[None], budget_limit), action)
+        assert np.array_equal(budget.solve_budget_argmax(stack, budget_limit), want)
+
+
 class TestNegativeBudget:
     @pytest.mark.parametrize(
         "call",

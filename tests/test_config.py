@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drsort import config, experiment, induction, valuenet
+from drsort import config, experiment, induction, valuenet, warehouse
 from drsort.seeding import stream
 
 
@@ -185,6 +185,26 @@ def test_a_value_of_the_wrong_type_is_an_error_at_its_path(doc, path, message):
         parse(doc)
     assert info.value.path == path
     assert message in str(info.value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: warehouse.EnvConfig(action_penalty=NAN), "action_penalty"),
+    (lambda: warehouse.EnvConfig(action_penalty=INF), "action_penalty"),
+    (lambda: induction.TruncatedNormalSpec(NAN, 2.0, 20, 1200), "mu"),
+    (lambda: induction.TruncatedNormalSpec(-INF, 2.0, 20, 1200), "mu"),
+    (lambda: induction.TruncatedNormalSpec(0.0, NAN, 20, 1200), "sigma"),
+    (lambda: induction.TruncatedNormalSpec(0.0, INF, 20, 1200), "sigma"),
+    (lambda: induction.MultinomialSpec((NAN, 1.0), 10), "probability vector"),
+    (lambda: valuenet.LearnerConfig(learning_rate=INF), "learning_rate"),
+], ids=["penalty-nan", "penalty-inf", "mu-nan", "mu-inf", "sigma-nan", "sigma-inf",
+        "probs-nan", "learning-rate-inf"])
+def test_the_dataclasses_reject_a_non_finite_number_at_construction(build, field):
+    # the reader rejects these in a file first; code that builds the objects meets these checks
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_an_int_literal_in_a_float_field_is_stored_as_a_float(tmp_path):

@@ -109,8 +109,24 @@ def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical,
      "runs[0].trace: '../report.json' is not a file name"),
     ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": ".."}]}',
      "runs[0].trace: '..' is not a file name"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv"}]}',
+     "runs[0].evaluation.per_group is empty or not a list"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
+     '{"per_group": [1]}}]}', "runs[0].evaluation.per_group[0] is not an object"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
+     '{"per_group": [{"throughput_mean": 1, "recirc_amount_mean": 1}]}}]}',
+     "runs[0].evaluation.per_group[0].recirc_rate_mean is not a number"),
+    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
+     '{"per_group": [{"recirc_rate_mean": true, "throughput_mean": 1, '
+     '"recirc_amount_mean": 1}]}}]}',
+     "runs[0].evaluation.per_group[0].recirc_rate_mean is not a number"),
+    ('{"config": CONFIG, "runs": 5}', "runs is not a list"),
+    ('{"config": CONFIG, "runs": ["name seed trace"]}', "runs[0] is not an object"),
+    ('{"config": CONFIG, "runs": {"x": 1}}', "runs is not a list"),
 ], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
-        "no-seed", "no-trace", "trace-path", "trace-parent"])
+        "no-seed", "no-trace", "trace-path", "trace-parent", "no-evaluation",
+        "group-not-object", "no-recirc-rate", "bool-recirc-rate", "runs-int",
+        "runs-of-strings", "runs-object"])
 def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
     canonical, tmp_path, capsys, text, message
 ):

@@ -81,6 +81,28 @@ class TestStep:
                 warehouse.reset(config), np.array([1, 1, 1]), np.zeros(3, dtype=int), config
             )
 
+    @pytest.mark.parametrize("action, induction, name", [
+        ([0.9, 0, 1.7], [4, 3, 3], "action"),
+        ([1, 0, 1], [4.6, 3.2, 2.2], "induction"),
+        ([1, 0, 1], [np.nan, 5, 5], "induction"),
+        ([1, 0, 1], [np.inf, 5, 5], "induction"),
+        ([np.nan, 0, 1], [4, 3, 3], "action"),
+    ], ids=["fractional-action", "fractional-induction", "nan", "inf", "nan-action"])
+    def test_a_count_that_is_not_a_whole_number_is_rejected(self, action, induction, name):
+        # casting would truncate it: [0.9, 0, 1.7] would assign chutes [0, 0, 1]
+        config = small_config(step_volume=10)
+        with pytest.raises(ValueError, match=f"{name} holds a count that is not a whole number"):
+            warehouse.step(warehouse.reset(config), np.array(action), np.array(induction), config)
+
+    def test_whole_valued_floats_step_as_integers(self):
+        config = small_config(step_volume=10)
+        state = warehouse.reset(config)
+        want = warehouse.step(state, np.array([1, 0, 1]), np.array([4, 3, 3]), config)
+        out = warehouse.step(state, np.array([1.0, -0.0, 1.0]), np.array([4.0, 3.0, 3.0]), config)
+        assert out.next_state == want.next_state
+        assert out.sorted.dtype == want.sorted.dtype
+        assert np.array_equal(out.rewards, want.rewards)
+
     def test_carryover_backlog_rearrives(self):
         config = small_config()
         first = warehouse.step(
