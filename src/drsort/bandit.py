@@ -182,6 +182,7 @@ def train_cb(
     """
     if cb_config.explore == "mixed" and q_params is None:
         raise ValueError("mixed exploration requires q_params (a trained policy)")
+    group_set.check_fits(env_config)
     t_start = time.perf_counter()
     m = group_set.size
     a_max = env_config.action_max

@@ -6,8 +6,8 @@ knapsack with unit weights per action level, solved exactly by dynamic
 programming over (agent, remaining budget) in O(N * budget * A_max).
 
 A stack of B tables is solved together with the batch axis last: the
-suffix table dp has shape (N+1, pad+budget+1, B). One read-only sliding
-window view of dp, windows[i, a, b, k] = dp[i, pad+b-a, k], holds every
+suffix table dp has shape (N+1, pad+budget+1, B). One read-only strided
+view of dp, windows[i, a, b, k] = dp[i, pad+b-a, k], holds every
 candidate the recursion reads (agent i reads windows[i+1]), so each
 agent costs one add of its levels into a preallocated buffer and one max
 over the action level, for the whole stack. Every dp entry is the max
@@ -34,7 +34,7 @@ import functools
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -65,12 +65,12 @@ def _suffix_table(
     budget b; the first `pad` columns hold -inf, so a level above the
     budget b is never the max.
 
-    windows[i, a, b, k] = dp[i, pad + b - a, k], for i = 0..N, is numpy's
-    read-only sliding window of pad+1 columns over dp itself, reversed in
-    a, built once, so it sees each row of dp as soon as it is written. Each
-    agent i costs two numpy calls for the whole stack: one add of
-    windows[i+1] and levels[i] into a preallocated (pad+1, budget+1, B)
-    buffer, and one max over a into dp[i, pad:].
+    windows[i, a, b, k] = dp[i, pad + b - a, k], for i = 0..N, is one
+    read-only as_strided view of dp itself (dp's strides, the column stride
+    negated for a), built once, so it sees each row of dp as soon as it is
+    written. Each agent i costs two numpy calls for the whole stack: one
+    add of windows[i+1] and levels[i] into a preallocated
+    (pad+1, budget+1, B) buffer, and one max over a into dp[i, pad:].
 
     Each entry is the max over a of the single addition
     tables[k, i, a] + dp[i+1, pad + b - a, k]; max is exact, so the entries
@@ -82,7 +82,9 @@ def _suffix_table(
     levels = tables[:, :, : pad + 1].transpose(1, 2, 0)
     dp = np.full((n_agents + 1, pad + budget + 1, n_batch), -np.inf)
     dp[n_agents, pad:] = 0.0
-    windows = np.moveaxis(sliding_window_view(dp, pad + 1, axis=1)[..., ::-1], -1, 1)
+    row, col, batch = dp.strides
+    shape = (n_agents + 1, pad + 1, budget + 1, n_batch)
+    windows = as_strided(dp[:, pad:], shape, (row, -col, col, batch), writeable=False)
     cand = np.empty((pad + 1, budget + 1, n_batch))
     for i in range(n_agents - 1, -1, -1):
         np.add(windows[i + 1], levels[i, :, None], out=cand)
@@ -154,11 +156,11 @@ def _stack_choices(tables: np.ndarray, budget: int) -> np.ndarray:
     """
     _, levels, windows = _suffix_table(tables, budget)
     n_agents, _, n_batch = levels.shape
-    tables = np.arange(n_batch)
+    k = np.arange(n_batch)
     left = np.full(n_batch, budget)
     action = np.empty((n_batch, n_agents), dtype=int)
     for i in range(n_agents):
-        cand = windows[i + 1][:, left, tables] + levels[i]
+        cand = windows[i + 1][:, left, k] + levels[i]
         cand.argmax(axis=0, out=action[:, i])
         left -= action[:, i]
     return action

@@ -57,8 +57,11 @@ class RunSpec:
             raise ConfigError(at("name"), "names output files, so it may hold no '/' or NUL")
         if self.episodes < 0:
             raise ConfigError(at("episodes"), "must be >= 0")
-        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(at("seeds"), "must be a nonempty list of distinct integers")
+        # seeding.stream reads a seed modulo 2**64, so seeds equal there draw the same streams
+        if not self.seeds or len({seed % 2**64 for seed in self.seeds}) < len(self.seeds):
+            raise ConfigError(
+                at("seeds"), "must be a nonempty list of distinct integers, taken modulo 2**64"
+            )
         if self.mode not in WORST_CASE_MODES:
             raise ConfigError(at("mode"), f"unknown mode {self.mode!r}")
         if self.mode == "fixed":

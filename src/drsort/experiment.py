@@ -49,12 +49,25 @@ def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
 
 
 def read_trace_csv(path: Path) -> list[dict]:
-    """The rows of a trace CSV, each value converted to its TraceRow field's type."""
+    """The rows of a trace CSV, each value converted to its TraceRow field's type.
+
+    A header other than TRACE_COLUMNS, a row of another length or a value its
+    field's type cannot parse is a ConfigError naming the file.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            {key: _TRACE_TYPES[key](value) for key, value in record.items()}
-            for record in csv.DictReader(fh)
-        ]
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != TRACE_COLUMNS:
+        raise ConfigError(str(path), f"header is not {','.join(TRACE_COLUMNS)}")
+    records, width = [], len(TRACE_COLUMNS)
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ConfigError(str(path), f"line {line} has {len(row)} fields, not {width}")
+        try:
+            record = {key: _TRACE_TYPES[key](value) for key, value in zip(TRACE_COLUMNS, row)}
+        except ValueError as exc:
+            raise ConfigError(str(path), f"line {line}: {exc}") from None
+        records.append(record)
+    return records
 
 
 def save_policy(
@@ -257,8 +270,9 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     config that does not parse, a `runs` that is not a list of objects, or a
     runs entry without `name`, `seed`, a bare file name as `trace`, or a
     nonempty `evaluation.per_group` list of objects holding the three numbers
-    write_metrics_csv reads, is a ConfigError naming the file, raised before
-    either CSV is written.
+    write_metrics_csv reads, is a ConfigError naming the file. Every trace is
+    read (read_trace_csv) in the same pass, so a missing or malformed one
+    also fails before either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
@@ -279,6 +293,7 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
         raise ConfigError(str(report_path), f"config {exc}") from None
     if not isinstance(report["runs"], list):
         raise ConfigError(str(report_path), "runs is not a list")
+    convergence_rows = []
     for i, doc in enumerate(report["runs"]):
         if not isinstance(doc, dict):
             raise ConfigError(str(report_path), f"runs[{i}] is not an object")
@@ -299,17 +314,8 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
             for key in ("recirc_rate_mean", "throughput_mean", "recirc_amount_mean"):
                 if type(group.get(key)) not in (int, float):
                     raise ConfigError(str(report_path), f"{at}.{key} is not a number")
-        if not (runs_dir / trace).exists():
-            raise FileNotFoundError(f"missing trace {runs_dir / trace}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])
-
-    convergence_rows = []
-    for doc in report["runs"]:
-        trace_path = runs_dir / doc["trace"]
         cumulative = 0.0
-        for record in read_trace_csv(trace_path):
+        for record in read_trace_csv(runs_dir / trace):
             cumulative += record["wall_clock_s"]
             convergence_rows.append(
                 (
@@ -321,6 +327,9 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
                     cumulative,
                 )
             )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])
     write_csv(
         out_dir / "convergence.csv",
         ("policy", "seed", "episode", "mean_return", "recirc_rate", "cum_wall_clock_s"),

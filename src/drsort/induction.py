@@ -17,8 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .warehouse import EnvConfig
 
 SIMPLEX_TOL = 1e-12
 
@@ -172,6 +176,16 @@ class GroupSet:
         numpy checks the probability vector once instead of T times.
         """
         return rng.multinomial(self.volume, self._probs[group_index], size=size)
+
+    def check_fits(self, env_config: EnvConfig) -> None:
+        """ValueError unless `env_config` steps this set's N destinations and volume."""
+        if (self.n_destinations, self.volume) != (
+            env_config.n_destinations, env_config.step_volume
+        ):
+            raise ValueError(
+                f"group set has N={self.n_destinations} and volume {self.volume}, "
+                f"env has N={env_config.n_destinations} and volume {env_config.step_volume}"
+            )
 
 
 APPENDIX_B_MEANS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)

@@ -284,6 +284,7 @@ def train_drmarl(
     mode = train_config.worst_case_mode
     if mode == "cb" and cb_params is None:
         raise ValueError("cb mode requires a trained predictor checkpoint")
+    group_set.check_fits(env_config)
     a_max = env_config.action_max
     n = env_config.n_destinations
     m = group_set.size
@@ -424,17 +425,11 @@ def draw_evaluation_inductions(
     single draws do. The draws fill one preallocated tensor. The draw
     depends on no policy, so one tensor serves every evaluation with these
     arguments. A group set whose N or volume differs from the env's is a
-    ValueError, raised before any stream is built.
+    ValueError (GroupSet.check_fits), raised before any stream is built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if (group_set.n_destinations, group_set.volume) != (
-        env_config.n_destinations, env_config.step_volume
-    ):
-        raise ValueError(
-            f"group set has N={group_set.n_destinations} and volume {group_set.volume}, "
-            f"env has N={env_config.n_destinations} and volume {env_config.step_volume}"
-        )
+    group_set.check_fits(env_config)
     steps = env_config.episode_steps
     inductions = np.empty((steps, group_set.size * trials, group_set.n_destinations), np.int64)
     for g in range(group_set.size):
@@ -469,7 +464,8 @@ def rollout(
     group_set, trials, seed)`, drawn once and shared by several policies;
     the episodes then roll out on it without a draw of their own. It must
     have that shape, be read-only, so no evaluation can alter what the
-    next one sees, and hold integer counts, none negative; otherwise ValueError.
+    next one sees, and hold integer counts, none negative, and the group
+    set must fit the env, as for a draw; otherwise ValueError.
 
     `trace_sink`, if given, receives the trajectory records
     (warehouse.trace_record) of each group's trial-0 episode: all steps of
@@ -479,6 +475,7 @@ def rollout(
     if inductions is None:
         inductions = draw_evaluation_inductions(env_config, group_set, trials, seed)
     else:
+        group_set.check_fits(env_config)
         shape = (env_config.episode_steps, group_set.size * trials, env_config.n_destinations)
         if inductions.shape != shape:
             raise ValueError(f"inductions have shape {inductions.shape}, expected {shape}")

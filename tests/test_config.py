@@ -118,6 +118,8 @@ LEARNER_ERRORS = [
          "$.runs[1].name", "names output files, so it may hold no '/' or NUL"),
         (with_run({"name": "a\0b", "mode": "random", "episodes": 1, "seeds": [1]}, 0),
          "$.runs[0].name", "may hold no '/' or NUL"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1, 2**64 + 1]}),
+         "$.runs[1].seeds", "list of distinct integers, taken modulo 2**64"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

@@ -94,6 +94,40 @@ def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical,
     assert not list(rebuilt.glob("*.csv"))
 
 
+def _set_wall_clock(rows):
+    rows[1][experiment.TRACE_COLUMNS.index("wall_clock_s")] = "fast"
+
+
+def _misspell_header(rows):
+    rows[0][0] = "epsiode"
+
+
+def _shorten_row(rows):
+    del rows[2][-1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_wall_clock, "line 2: could not convert string to float: 'fast'"),
+    (_misspell_header, f"header is not {','.join(experiment.TRACE_COLUMNS)}"),
+    (_shorten_row, "line 3 has 7 fields, not 8"),
+], ids=["not-a-number", "wrong-header", "short-row"])
+def test_report_subcommand_on_a_malformed_trace_exits_2_writing_nothing(
+    canonical, tmp_path, capsys, edit, message
+):
+    out, report = canonical
+    runs = tmp_path / "runs"
+    shutil.copytree(out, runs)
+    trace = runs / report["runs"][-1]["trace"]
+    with open(trace, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    experiment.write_csv(trace, rows[0], rows[1:])
+    rebuilt = tmp_path / "rebuilt"
+    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
+    assert f"config error: {trace}: {message}" in capsys.readouterr().err
+    assert not list(rebuilt.glob("*.csv"))
+
+
 @pytest.mark.parametrize("text, message", [
     ("{not json", "not valid JSON: "),
     ("[]", "the top level is not a JSON object"),

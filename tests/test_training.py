@@ -209,6 +209,16 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match="negative"):
             training.evaluate_policy(params, env, group_set, 2, seed=20, inductions=negative)
 
+    def test_shared_inductions_reject_a_group_set_that_does_not_fit_the_env(self):
+        # the shapes agree, so only the volume tells the env from the group set
+        env, group_set, _, _ = config.appendix_b_defaults()
+        shared = training.draw_evaluation_inductions(env, group_set, 2, seed=22)
+        env = dataclasses.replace(env, step_volume=600)
+        with pytest.raises(ValueError, match="env has N=20 and volume 600"):
+            training.evaluate_policy(
+                random_q_params(env, 12), env, group_set, 2, seed=22, inductions=shared
+            )
+
     def test_rejects_inductions_that_are_not_integer_counts(self):
         # warehouse.step would truncate every fractional count without a word
         env, group_set = small_setup()
@@ -333,6 +343,26 @@ class TestDrawEvaluationInductions:
             training.draw_evaluation_inductions(env, group_set, 2, seed=22)
         with pytest.raises(ValueError, match=message):
             training.evaluate_policy(random_q_params(env, 12), env, group_set, 2, seed=22)
+        assert made == []
+
+    @pytest.mark.parametrize("misfit", ["n_destinations", "step_volume"])
+    def test_trainers_reject_a_group_set_that_does_not_fit_the_env(self, monkeypatch, misfit):
+        env, group_set, train, cb = config.appendix_b_defaults()
+        if misfit == "n_destinations":
+            _, group_set = small_setup()
+            message = "group set has N=6 and volume 60, env has N=20 and volume 1200"
+        else:
+            env = dataclasses.replace(env, step_volume=600)
+            message = "group set has N=20 and volume 1200, env has N=20 and volume 600"
+        made = []
+        monkeypatch.setattr(training, "stream", lambda *args: made.append(args))
+        monkeypatch.setattr(bandit, "stream", lambda *args: made.append(args))
+        train = dataclasses.replace(train, worst_case_mode="random", episodes=1)
+        with pytest.raises(ValueError, match=message):
+            training.train_drmarl(train, env, group_set, seed=22)
+        cb = dataclasses.replace(cb, explore="random", episodes=1)
+        with pytest.raises(ValueError, match=message):
+            bandit.train_cb(env, group_set, cb, seed=22)
         assert made == []
 
 
