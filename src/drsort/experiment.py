@@ -270,7 +270,10 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     config that does not parse, a `runs` that is not a list of objects, or a
     runs entry without `name`, `seed`, a bare file name as `trace`, or a
     nonempty `evaluation.per_group` list of objects holding the three numbers
-    write_metrics_csv reads, is a ConfigError naming the file. Every trace is
+    write_metrics_csv reads, is a ConfigError naming the file. So is an entry
+    whose name is not a run of the config, whose seed is not an int among
+    that run's seeds, whose (name, seed) repeats an earlier entry, or whose
+    per_group does not hold one entry per group of the config. Every trace is
     read (read_trace_csv) in the same pass, so a missing or malformed one
     also fails before either CSV is written.
     """
@@ -293,6 +296,8 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
         raise ConfigError(str(report_path), f"config {exc}") from None
     if not isinstance(report["runs"], list):
         raise ConfigError(str(report_path), "runs is not a list")
+    run_seeds = {run.name: run.seeds for run in config.runs}
+    seen = set()
     convergence_rows = []
     for i, doc in enumerate(report["runs"]):
         if not isinstance(doc, dict):
@@ -314,13 +319,28 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
             for key in ("recirc_rate_mean", "throughput_mean", "recirc_amount_mean"):
                 if type(group.get(key)) not in (int, float):
                     raise ConfigError(str(report_path), f"{at}.{key} is not a number")
+        name, seed = doc["name"], doc["seed"]
+        if not isinstance(name, str) or name not in run_seeds:
+            problem = f"runs[{i}].name: {name!r} is not a run of the config"
+        elif type(seed) is not int or seed not in run_seeds[name]:
+            problem = f"runs[{i}].seed: {seed!r} is not a seed of run {name!r}"
+        elif (name, seed) in seen:
+            problem = f"runs[{i}]: ({name!r}, {seed}) repeats an earlier entry"
+        elif len(groups) != config.group_set.size:
+            problem = (f"runs[{i}].evaluation.per_group has length {len(groups)}, "
+                       f"not the config's {config.group_set.size} groups")
+        else:
+            problem = None
+        if problem:
+            raise ConfigError(str(report_path), problem)
+        seen.add((name, seed))
         cumulative = 0.0
         for record in read_trace_csv(runs_dir / trace):
             cumulative += record["wall_clock_s"]
             convergence_rows.append(
                 (
-                    doc["name"],
-                    doc["seed"],
+                    name,
+                    seed,
                     record["episode"],
                     record["mean_return"],
                     record["recirc_rate"],

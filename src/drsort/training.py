@@ -521,8 +521,9 @@ def evaluate_policy(
     greedy_actions call on them. greedy_actions runs the Q forward once per
     distinct row (in padded row blocks of at most
     valuenet.FORWARD_BLOCK_ROWS, so memory does not grow with K) and the
-    budget argmax once per distinct table stack; both merges are exact, so
-    every episode's actions equal those of a one-at-a-time rollout of that
+    budget argmax on every episode's two-level table stack in one call, or
+    once per distinct multi-level stack; both merges are exact, so every
+    episode's actions equal those of a one-at-a-time rollout of that
     episode.
     """
 

@@ -233,9 +233,9 @@ def observe_distinct(state: WarehouseState, config: EnvConfig) -> tuple[np.ndarr
     the state's (N,) or (K, N) shape, and no two rows are equal. An agent's
     row is a function of four integers, as t is shared by the batch: its
     index, its episode's free chutes, its own chutes, and its backlog
-    clipped at V. They are packed into one int64 code per agent, the codes
-    grouped by one argsort, and only the distinct rows computed, in
-    ascending code order.
+    clipped at V. They are packed into one int64 code per agent; one sort
+    of the codes gives the distinct codes in ascending order, a binary
+    search of them row_of, and only the distinct rows are computed.
 
     A config with more than 2**63 codes, N x (M+1) x (A_max+1) x (V+1),
     is a ValueError, and so is a state with chutes outside [0, A_max],
@@ -256,35 +256,32 @@ def observe_distinct(state: WarehouseState, config: EnvConfig) -> tuple[np.ndarr
             "state has chutes outside [0, A_max], more than M assigned or a negative backlog"
         )
     code = ((np.arange(n) * (m + 1) + available) * (a_max + 1) + chutes) * (cap + 1) + backlog
-    flat = code.ravel()
-    first, row_of = distinct_keys(flat)
-    rest, backlog = np.divmod(flat[first], cap + 1)
+    ranked = np.sort(code, axis=None)
+    distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    rest, backlog = np.divmod(distinct, cap + 1)
     rest, chutes = np.divmod(rest, a_max + 1)
     index, available = np.divmod(rest, m + 1)
     rows = _feature_rows(index, available, chutes, backlog, state.t, config)
-    return rows, row_of.reshape(code.shape)
+    return rows, np.searchsorted(distinct, code)
 
 
 def distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) grouping the equal entries of 1-D keys or the equal rows of a 2-D array.
+    """(first, inverse) grouping the equal rows of a 2-D integer array.
 
-    Entries (rows) share a group exactly when they are equal, and
-    keys[first][inverse] equals keys. One argsort orders 1-D keys, one
-    lexsort over the columns orders rows (the last column first); each run
-    of equal entries is one group, in ascending order, and first holds the
-    position of one of its members. Only integer dtypes are grouped: float
-    keys, where -0.0 == 0.0, are a TypeError.
+    Rows share a group exactly when they are equal, and
+    keys[first][inverse] equals keys. One lexsort over the columns (the
+    last column first) orders the rows; each run of equal rows is one
+    group, in ascending order, and first holds the position of one of its
+    members. Only the rows of 2-D integer arrays are grouped: float keys,
+    where -0.0 == 0.0, and keys of any other rank are a TypeError.
     """
-    if keys.dtype.kind not in "iu" or keys.ndim not in (1, 2):
-        raise TypeError(f"distinct_keys groups 1-D or 2-D integers, got {keys.dtype} {keys.shape}")
-    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T)
+    if keys.dtype.kind not in "iu" or keys.ndim != 2:
+        raise TypeError(f"distinct_keys groups rows of 2-D integers, got {keys.dtype} {keys.shape}")
+    order = np.lexsort(keys.T)
     ranked = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True
-    if keys.ndim == 1:
-        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    else:
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse

@@ -157,17 +157,32 @@ def test_report_subcommand_on_a_malformed_trace_exits_2_writing_nothing(
     ('{"config": CONFIG, "runs": 5}', "runs is not a list"),
     ('{"config": CONFIG, "runs": ["name seed trace"]}', "runs[0] is not an object"),
     ('{"config": CONFIG, "runs": {"x": 1}}', "runs is not a list"),
+    ('{"config": CONFIG, "runs": [{"name": "drmarl-randm", "seed": 1, "trace": "t.csv", '
+     '"evaluation": ONE_GROUP}]}', "runs[0].name: 'drmarl-randm' is not a run of the config"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": "one", "trace": "t.csv", '
+     '"evaluation": ONE_GROUP}]}', "runs[0].seed: 'one' is not a seed of run 'marl-center'"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": true, "trace": "t.csv", '
+     '"evaluation": ONE_GROUP}]}', "runs[0].seed: True is not a seed of run 'marl-center'"),
+    ('{"config": CONFIG, "runs": [FIRST_RUN, FIRST_RUN]}',
+     "runs[1]: ('marl-center', 1) repeats an earlier entry"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
+     '"evaluation": ONE_GROUP}]}',
+     "runs[0].evaluation.per_group has length 1, not the config's 9 groups"),
 ], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
         "no-seed", "no-trace", "trace-path", "trace-parent", "no-evaluation",
         "group-not-object", "no-recirc-rate", "bool-recirc-rate", "runs-int",
-        "runs-of-strings", "runs-object"])
+        "runs-of-strings", "runs-object", "unknown-name", "string-seed", "bool-seed",
+        "repeated-run", "short-per-group"])
 def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
     canonical, tmp_path, capsys, text, message
 ):
     out, report = canonical
     runs = tmp_path / "runs"
     shutil.copytree(out, runs)
-    text = text.replace("CONFIG", json.dumps(report["config"]))
+    one_group = {"recirc_rate_mean": 0.5, "throughput_mean": 1, "recirc_amount_mean": 1}
+    text = (text.replace("FIRST_RUN", json.dumps(report["runs"][0]))
+            .replace("ONE_GROUP", json.dumps({"per_group": [one_group]}))
+            .replace("CONFIG", json.dumps(report["config"])))
     (runs / "report.json").write_text(text, encoding="utf-8")
     rebuilt = tmp_path / "rebuilt"
     assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG

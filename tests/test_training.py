@@ -414,20 +414,52 @@ class TestLockstepEvaluation:
         training.evaluate_policy(params, env, group_set, trials=20, seed=seed)
         episodes = group_set.size * 20
         assert len(observed) == env.episode_steps
-        assert [x.shape for x in stacked] == [(episodes, env.n_destinations)] * env.episode_steps
         for obs, rows, row_of in observed:
             assert obs.shape == (episodes, env.n_destinations, valuenet.OBS_DIM)
             bits = obs.reshape(-1, valuenet.OBS_DIM).view(np.uint64)
             assert len(rows) == len(np.unique(bits, axis=0))
             assert np.array_equal(rows[row_of].view(np.uint64), obs.view(np.uint64))
+        # every step's observation rows merge
+        assert all(len(rows) < episodes * env.n_destinations for _, rows, _ in observed)
+        if env.action_max == 1:
+            # two-level tables are solved ungrouped: no stack grouping runs
+            assert stacked == []
+            return
+        assert [x.shape for x in stacked] == [(episodes, env.n_destinations)] * env.episode_steps
         for x in stacked:
             first, inverse = real_distinct(x)
             rows = x[first]
             assert len(rows) == len(np.unique(x, axis=0))
             assert np.array_equal(rows[inverse], x)
-        # every step's observation rows merge; its stacks merge at t=0 at least
-        assert all(len(rows) < episodes * env.n_destinations for _, rows, _ in observed)
+        # its stacks merge at t=0 at least
         assert len(real_distinct(stacked[0])[0]) < episodes
+
+    @pytest.mark.parametrize("name", ["appendix-b", "main"])
+    def test_distinct_rows_come_in_ascending_code_order(self, monkeypatch, trained_policies, name):
+        env, group_set, params, seed = trained_policies[name]
+        states = []
+        real_observe = warehouse.observe_distinct
+
+        def observing(state, config):
+            states.append(state)
+            return real_observe(state, config)
+
+        monkeypatch.setattr(warehouse, "observe_distinct", observing)
+        training.evaluate_policy(params, env, group_set, trials=20, seed=seed)
+        assert len(states) == env.episode_steps
+        m, a_max, v = env.n_chutes, env.action_max, env.step_volume
+        for state in states:
+            # the documented code: index, free chutes, own chutes and backlog clipped at V
+            chutes = state.chutes_assigned
+            available = m - chutes.sum(axis=-1, keepdims=True)
+            index = np.arange(env.n_destinations)
+            backlog = np.minimum(state.recirc_backlog, v)
+            codes = ((index * (m + 1) + available) * (a_max + 1) + chutes) * (v + 1) + backlog
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            rows, row_of = real_observe(state, env)
+            obs = warehouse.observe_all(state, env).reshape(-1, valuenet.OBS_DIM)
+            assert np.array_equal(rows.view(np.uint64), obs[first].view(np.uint64))
+            assert np.array_equal(row_of, inverse.reshape(codes.shape))
 
 
 class TestTrainDrmarl:

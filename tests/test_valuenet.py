@@ -477,8 +477,38 @@ class TestDedupe:
         actions = lockstep_greedy(params, obs, a_max, budget_limit)
         assert np.array_equal(actions, expected)
         assert forward_rows == [len(np.unique(obs.reshape(-1, valuenet.OBS_DIM), axis=0))]
-        assert solved_stacks == [len(np.unique(obs.reshape(45, -1), axis=0))]
-        assert forward_rows[0] < 45 * 21 and solved_stacks[0] < 45
+        assert forward_rows[0] < 45 * 21
+        if a_max == 1:
+            # two-level tables are solved ungrouped, one stack per episode
+            assert solved_stacks == [45]
+        else:
+            assert solved_stacks == [len(np.unique(obs.reshape(45, -1), axis=0))]
+            assert solved_stacks[0] < 45
+
+    def test_two_level_batches_are_solved_in_one_ungrouped_call(self, monkeypatch):
+        rng = stream(27, "test/two-level")
+        params = valuenet.init_mlp(valuenet.default_q_dims(1), rng, dtype=np.float32)
+        obs = repeated_observations(rng, 45, 21)
+        rows, row_of = np.unique(obs.reshape(-1, valuenet.OBS_DIM), axis=0, return_inverse=True)
+        row_of = row_of.reshape(45, 21)
+        tables = valuenet.action_value_table(params, rows, 1)
+        expected = [budget.solve_budget_argmax(tables[episode], 10) for episode in row_of]
+        solved, grouped = [], []
+
+        def solve_spy(tables, budget_limit):
+            solved.append(tables.shape)
+            return solve_budget_argmax(tables, budget_limit)
+
+        def grouping_spy(keys):
+            grouped.append(keys.shape)
+            return distinct_keys(keys)
+
+        solve_budget_argmax, distinct_keys = budget.solve_budget_argmax, valuenet.distinct_keys
+        monkeypatch.setattr(budget, "solve_budget_argmax", solve_spy)
+        monkeypatch.setattr(valuenet, "distinct_keys", grouping_spy)
+        actions = valuenet.greedy_actions(params, rows, 1, 10, row_of=row_of)
+        assert solved == [(45, 21, 2)] and grouped == []
+        assert np.array_equal(actions, np.stack(expected))
 
 
 def column_replay(next_observations, *, a_max=1, reward=0.0, terminal=()):

@@ -349,6 +349,10 @@ class TestDistinctKeys:
         with pytest.raises(TypeError, match="integer"):
             warehouse.distinct_keys(keys)
 
+    def test_1_d_integer_keys_are_a_type_error(self):
+        with pytest.raises(TypeError, match=r"groups rows of 2-D integers, got int64 \(3,\)"):
+            warehouse.distinct_keys(np.array([3, 1, 3], dtype=np.int64))
+
 
 def summed_metrics(outcomes):
     """Oracle: episode metrics re-summed from every step's sorted and recirculated counts."""
