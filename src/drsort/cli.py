@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, training, verify
 from .config import ConfigError, RunSpec, appendix_b_defaults, load_config
 
@@ -180,7 +182,7 @@ def _cmd_eval(args) -> int:
     doc = experiment.evaluation_to_doc(report)
     out_path = args.out / f"eval-{args.checkpoint.stem}.json"
     out_path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    mean_rate = report.mean_over_groups("recirc_rate")
+    mean_rate = float(np.mean([g["recirc_rate_mean"] for g in doc["per_group"]]))
     print(f"evaluated {args.checkpoint} on {group_set.size} groups: "
           f"mean recirc rate {mean_rate:.4%} -> {out_path}")
     return EXIT_OK

@@ -203,9 +203,19 @@ PRESETS = {"appendix-b": appendix_b_defaults}
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key that appears twice in it is a ConfigError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError("$", f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
     top = _read(_Document, _typed(doc, dict, "$"), "$")
@@ -272,5 +282,13 @@ def config_to_doc(config: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """parse_config of the file at `path`; a file that cannot be read as UTF-8
+    text is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"is not UTF-8 text: {exc}") from exc
+    return parse_config(text)

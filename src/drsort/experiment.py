@@ -16,10 +16,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 import time
 import traceback
 import typing
 from pathlib import Path
+
+import numpy as np
 
 from . import bandit, training, valuenet, warehouse
 from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc, parse_config
@@ -133,21 +136,22 @@ def load_predictor(path: Path, env_config: warehouse.EnvConfig, group_set: Group
 
 
 def evaluation_to_doc(report: training.EvaluationReport) -> dict:
-    return {
-        "wall_clock_s": report.wall_clock_s,
-        "per_group": [
-            {
-                "group": g.group,
-                "recirc_rate_mean": g.mean("recirc_rate"),
-                "recirc_rate_std": g.std("recirc_rate"),
-                "throughput_mean": g.mean("throughput"),
-                "recirc_amount_mean": g.mean("recirc_amount"),
-                "episode_recirc_rates": [ep.recirc_rate for ep in g.episodes],
-                "episode_throughputs": [ep.throughput for ep in g.episodes],
-            }
-            for g in report.per_group
-        ],
-    }
+    """report.json's evaluation entry: each group's episode rates and throughputs, and
+    numpy's mean (and the rate's std) of each column of one float64 (episodes, 3) array."""
+    per_group = []
+    for g in report.per_group:
+        values = [(ep.recirc_rate, ep.throughput, ep.recirc_amount) for ep in g.episodes]
+        rates, throughputs, amounts = np.array(values, dtype=float).T
+        per_group.append({
+            "group": g.group,
+            "recirc_rate_mean": float(rates.mean()),
+            "recirc_rate_std": float(rates.std()),
+            "throughput_mean": float(throughputs.mean()),
+            "recirc_amount_mean": float(amounts.mean()),
+            "episode_recirc_rates": [ep.recirc_rate for ep in g.episodes],
+            "episode_throughputs": [ep.throughput for ep in g.episodes],
+        })
+    return {"wall_clock_s": report.wall_clock_s, "per_group": per_group}
 
 
 def _train_one(config: ExperimentConfig, out: Path, run: RunSpec, seed: int, inductions,
@@ -269,13 +273,13 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
     is not valid JSON, not a JSON object, lacks `config` or `runs`, holds a
     config that does not parse, a `runs` that is not a list of objects, or a
     runs entry without `name`, `seed`, a bare file name as `trace`, or a
-    nonempty `evaluation.per_group` list of objects holding the three numbers
-    write_metrics_csv reads, is a ConfigError naming the file. So is an entry
-    whose name is not a run of the config, whose seed is not an int among
-    that run's seeds, whose (name, seed) repeats an earlier entry, or whose
-    per_group does not hold one entry per group of the config. Every trace is
-    read (read_trace_csv) in the same pass, so a missing or malformed one
-    also fails before either CSV is written.
+    nonempty `evaluation.per_group` list of objects holding the three finite
+    numbers write_metrics_csv reads, is a ConfigError naming the file. So is
+    an entry whose name is not a run of the config, whose seed is not an int
+    among that run's seeds, whose (name, seed) repeats an earlier entry, or
+    whose per_group does not hold one entry per group of the config. Every
+    trace is read (read_trace_csv) in the same pass, so a missing or
+    malformed one also fails before either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
@@ -319,6 +323,9 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
             for key in ("recirc_rate_mean", "throughput_mean", "recirc_amount_mean"):
                 if type(group.get(key)) not in (int, float):
                     raise ConfigError(str(report_path), f"{at}.{key} is not a number")
+                # NaN, an infinity, or an int no float holds
+                if not abs(group[key]) <= sys.float_info.max:
+                    raise ConfigError(str(report_path), f"{at}.{key} is not finite")
         name, seed = doc["name"], doc["seed"]
         if not isinstance(name, str) or name not in run_seeds:
             problem = f"runs[{i}].name: {name!r} is not a run of the config"

@@ -364,13 +364,12 @@ def train_drmarl(
             state = next_state
             obs = next_obs
             step_count += 1
-        metrics = warehouse.episode_metrics(state)
         result.trace.append(
             TraceRow(
                 episode=episode,
                 mode=mode,
                 mean_return=returns / env_config.episode_steps,
-                recirc_rate=metrics.recirc_rate,
+                recirc_rate=warehouse.episode_metrics(state).recirc_rate,
                 epsilon=epsilon,
                 wall_clock_s=time.perf_counter() - wall_start,
                 cpu_s=time.process_time() - cpu_start,
@@ -389,26 +388,16 @@ def train_drmarl(
 
 @dataclass(frozen=True)
 class GroupReport:
+    """One group's evaluated episodes in trial order; evaluation_to_doc summarizes them."""
+
     group: int  # 1-based, matching files and logs
     episodes: tuple[warehouse.EpisodeMetrics, ...]
-
-    def _values(self, attr: str) -> np.ndarray:
-        return np.array([getattr(ep, attr) for ep in self.episodes], dtype=float)
-
-    def mean(self, attr: str) -> float:
-        return float(self._values(attr).mean())
-
-    def std(self, attr: str) -> float:
-        return float(self._values(attr).std())
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
     per_group: tuple[GroupReport, ...]
     wall_clock_s: float
-
-    def mean_over_groups(self, attr: str) -> float:
-        return float(np.mean([g.mean(attr) for g in self.per_group]))
 
 
 def draw_evaluation_inductions(

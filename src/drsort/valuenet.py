@@ -494,21 +494,24 @@ def save_checkpoint(
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is not a JSON object, or a field is missing or of the wrong type or shape."""
+    """A checkpoint file is unreadable or not a JSON object, or a field is missing or malformed."""
 
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored.
 
-    A file that is not a JSON object, a missing field, a dtype other than
-    the two that save_checkpoint writes, or weights and biases that do not
-    match layer_dims raise CheckpointError naming the defect.
+    A file that cannot be read, is not UTF-8 JSON or not a JSON object, a
+    missing field, a dtype other than the two that save_checkpoint writes,
+    or weights and biases that do not match layer_dims raise CheckpointError
+    naming the defect.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except ValueError as exc:
-            raise CheckpointError(f"not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot be read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointError("the top level is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:

@@ -287,24 +287,18 @@ def distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
-def _metrics(total_sorted: int, total_recirc: int) -> EpisodeMetrics:
-    total_arrivals = total_sorted + total_recirc
-    rate = total_recirc / total_arrivals if total_arrivals > 0 else 0.0
-    return EpisodeMetrics(
-        recirc_rate=rate, throughput=total_sorted, recirc_amount=total_recirc
-    )
-
-
 def episode_metrics(state: WarehouseState) -> EpisodeMetrics | list[EpisodeMetrics]:
     """Recirculation rate, throughput, and recirculation amount from the state's counters.
 
-    One EpisodeMetrics for an (N,) state, a list of them for a (K, N) batch.
-    The rate denominator counts package-passes: induction plus carryover
-    re-arrivals, so each recirculation event is counted once per pass.
+    One EpisodeMetrics for an (N,) state, a list for a (K, N) batch, from one
+    vectorized pass; fields are Python float and int. The rate counts passes:
+    induction plus carryover re-arrivals; an episode without one has rate 0.0.
     """
-    if np.ndim(state.cum_sorted) == 0:
-        return _metrics(int(state.cum_sorted), int(state.cum_recirc))
-    return [_metrics(int(s), int(r)) for s, r in zip(state.cum_sorted, state.cum_recirc)]
+    sorted_, recirc = np.atleast_1d(state.cum_sorted), np.atleast_1d(state.cum_recirc)
+    passes = sorted_ + recirc
+    rates = np.divide(recirc, passes, out=np.zeros(passes.shape), where=passes > 0)
+    metrics = list(map(EpisodeMetrics, rates.tolist(), sorted_.tolist(), recirc.tolist()))
+    return metrics if np.ndim(state.cum_sorted) else metrics[0]
 
 
 def trace_record(t: int, action, induction, outcome: StepOutcome, k=()) -> dict:

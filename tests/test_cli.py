@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from drsort import bandit, cli, valuenet, warehouse
@@ -317,3 +318,65 @@ def test_an_experiment_run_name_with_a_slash_exits_2_before_training(capsys, tmp
     assert code == cli.EXIT_CONFIG
     assert "$.runs[0].name: names output files, so it may hold no '/' or NUL" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, make, message",
+    [
+        (["experiment", "--config"], lambda path: path.mkdir(), "cannot be read: Is a directory"),
+        (["eval", "--seed", 1, "--checkpoint"], lambda path: path.mkdir(),
+         "cannot be read: Is a directory"),
+        (["experiment", "--config"], lambda path: path.write_bytes(b'{"runs": "\xff"}'),
+         "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (["train", "--mode", "random", "--seed", 1, "--config"],
+         lambda path: path.write_bytes(b"\xfe\xff"), "is not UTF-8 text"),
+    ],
+    ids=["config-directory", "checkpoint-directory", "latin-1-config", "utf-16-config"],
+)
+def test_an_unreadable_input_file_exits_2_naming_it(capsys, tmp_path, command, make, message):
+    path = tmp_path / "input.json"
+    make(path)
+    code, err = run(capsys, *command, path, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["experiment"],
+        ["train", "--mode", "random", "--seed", 1],
+        ["cb-train", "--seed", 1],
+        ["eval", "--checkpoint", "policy.json", "--seed", 1],
+    ],
+    ids=["experiment", "train", "cb-train", "eval"],
+)
+def test_a_config_with_a_repeated_key_exits_2_before_writing(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"master_seed": 0, "evaluation": {"seed": 1}, "output_dir": ' + json.dumps(str(out))
+        + ', "runs": [{"name": "r", "mode": "random", "episodes": 1, "episodes": 5, '
+        '"seeds": [1]}]}',
+        encoding="utf-8",
+    )
+    code, err = run(capsys, *command, "--config", cfg, "--out", out)
+    assert code == cli.EXIT_CONFIG
+    assert "config error: $: key 'episodes' appears twice in one object" in err
+    assert not out.exists()
+
+
+def test_eval_prints_the_mean_of_the_written_per_group_rates(capsys, tmp_path):
+    assert run(capsys, "train", "--mode", "random", "--episodes", 2, "--seed", 4,
+               "--out", tmp_path)[0] == cli.EXIT_OK
+    policy = tmp_path / "policy-random-s4.json"
+    assert cli.main(["eval", "--checkpoint", str(policy), "--trials", "2", "--seed", "3",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    written = tmp_path / "eval-policy-random-s4.json"
+    doc = json.loads(written.read_text(encoding="utf-8"))
+    rates = [group["recirc_rate_mean"] for group in doc["per_group"]]
+    assert len(set(rates)) > 1
+    assert capsys.readouterr().out == (
+        f"evaluated {policy} on 9 groups: mean recirc rate {np.mean(rates):.4%} -> {written}\n"
+    )

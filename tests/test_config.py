@@ -22,7 +22,8 @@ def minimal_doc(**overrides):
 
 
 def parse(doc):
-    return config.parse_config(json.dumps(doc))
+    """parse_config of a document, or of config text as given."""
+    return config.parse_config(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def test_document_round_trip():
@@ -120,6 +121,13 @@ LEARNER_ERRORS = [
          "$.runs[0].name", "may hold no '/' or NUL"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1, 2**64 + 1]}),
          "$.runs[1].seeds", "list of distinct integers, taken modulo 2**64"),
+        # JSON text, since no dict holds a key twice
+        pytest.param(json.dumps(minimal_doc(env={"n_chutes": 4}))[:-1] + ', "env": {}}',
+                     "$", "key 'env' appears twice in one object", id="repeated-top-level-key"),
+        pytest.param(
+            json.dumps(with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1]}))
+            .replace('"episodes": 1,', '"episodes": 1, "episodes": 5,'),
+            "$", "key 'episodes' appears twice in one object", id="repeated-key-in-a-run"),
     ],
 )
 def test_errors_name_the_offending_path(doc, path, message):

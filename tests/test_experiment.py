@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drsort import bandit, cli, config, experiment, training, valuenet
@@ -66,6 +67,34 @@ def test_matrix_runs_clean_and_leaves_the_predictor_frozen(canonical):
     assert all(d["cb_digest_before"] and d["cb_digest_before"] == d["cb_digest_after"]
                for d in cb_docs)
     assert list(metrics_by_policy(out)) == ["marl-center", "drmarl-cb", "drmarl-random"]
+
+
+def test_evaluation_doc_holds_numpys_mean_and_std_of_each_groups_episodes():
+    cfg = tiny_config([RANDOM])
+    params = training.train_drmarl(
+        cfg.runs[0].train_config(cfg.train), cfg.env, cfg.group_set, 1
+    ).params
+    report = training.evaluate_policy(params, cfg.env, cfg.group_set, 20, 7)
+    doc = experiment.evaluation_to_doc(report)
+    assert doc["wall_clock_s"] == report.wall_clock_s
+    assert [g["group"] for g in doc["per_group"]] == list(range(1, cfg.group_set.size + 1))
+    for group, entry in zip(report.per_group, doc["per_group"], strict=True):
+        rates = [ep.recirc_rate for ep in group.episodes]
+        throughputs = [ep.throughput for ep in group.episodes]
+        amounts = [ep.recirc_amount for ep in group.episodes]
+        for key, expected in (
+            ("recirc_rate_mean", np.mean(rates)),
+            ("recirc_rate_std", np.std(rates)),
+            ("throughput_mean", np.mean(throughputs)),
+            ("recirc_amount_mean", np.mean(amounts)),
+        ):
+            assert type(entry[key]) is float
+            assert entry[key].hex() == float(expected).hex(), (group.group, key)
+        assert entry["episode_recirc_rates"] == rates
+        assert entry["episode_throughputs"] == throughputs
+        assert all(type(t) is int for t in entry["episode_throughputs"])
+    # the policy sorts some packages, so the statistics are not all equal
+    assert len({entry["recirc_rate_std"] for entry in doc["per_group"]}) > 1
 
 
 def test_rerun_writes_byte_identical_metrics(canonical, tmp_path):
@@ -168,11 +197,24 @@ def test_report_subcommand_on_a_malformed_trace_exits_2_writing_nothing(
     ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
      '"evaluation": ONE_GROUP}]}',
      "runs[0].evaluation.per_group has length 1, not the config's 9 groups"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
+     '"evaluation": {"per_group": [{"recirc_rate_mean": NaN, "throughput_mean": 1, '
+     '"recirc_amount_mean": 1}]}}]}',
+     "runs[0].evaluation.per_group[0].recirc_rate_mean is not finite"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
+     '"evaluation": {"per_group": [{"recirc_rate_mean": 0.5, "throughput_mean": Infinity, '
+     '"recirc_amount_mean": 1}]}}]}',
+     "runs[0].evaluation.per_group[0].throughput_mean is not finite"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
+     '"evaluation": {"per_group": [{"recirc_rate_mean": 0.5, "throughput_mean": 1, '
+     f'"recirc_amount_mean": {10**400}}}]}}}}]}}',
+     "runs[0].evaluation.per_group[0].recirc_amount_mean is not finite"),
 ], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
         "no-seed", "no-trace", "trace-path", "trace-parent", "no-evaluation",
         "group-not-object", "no-recirc-rate", "bool-recirc-rate", "runs-int",
         "runs-of-strings", "runs-object", "unknown-name", "string-seed", "bool-seed",
-        "repeated-run", "short-per-group"])
+        "repeated-run", "short-per-group", "nan-recirc-rate", "infinite-throughput",
+        "int-past-float-range"])
 def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
     canonical, tmp_path, capsys, text, message
 ):

@@ -419,6 +419,32 @@ class TestEpisodeMetrics:
         assert metrics.recirc_amount == 12
         assert metrics.recirc_rate == 1.0
 
+    def test_a_batch_with_an_empty_and_a_fully_recirculated_episode(self):
+        config = small_config()
+        rng = stream(29, "metrics-batch")
+        # row 0 sees no package, row 1 opens no chute, rows 2 and 3 are ordinary
+        actions = np.array([[1, 1, 0], [0, 0, 0], [1, 0, 1], [0, 1, 0]])
+        inductions = rng.multinomial(16, np.full(3, 1 / 3), size=(config.episode_steps, 4))
+        inductions[:, 0] = 0
+        batch = warehouse.tile(warehouse.reset(config), 4)
+        for induction in inductions:
+            batch = warehouse.step(batch, actions, induction, config).next_state
+        metrics = warehouse.episode_metrics(batch)
+        assert len(metrics) == 4
+        for k, got in enumerate(metrics):
+            state, outcomes = warehouse.reset(config), []
+            for induction in inductions[:, k]:
+                outcomes.append(warehouse.step(state, actions[k], induction, config))
+                state = outcomes[-1].next_state
+            for expected in (summed_metrics(outcomes), warehouse.episode_metrics(state)):
+                for name in ("recirc_rate", "throughput", "recirc_amount"):
+                    assert getattr(got, name) == getattr(expected, name), (k, name)
+                    assert type(getattr(got, name)) is type(getattr(expected, name)), (k, name)
+        assert (metrics[0].recirc_rate, metrics[0].throughput, metrics[0].recirc_amount) == (
+            0.0, 0, 0)
+        assert metrics[1].recirc_rate == 1.0 and metrics[1].throughput == 0
+        assert 0.0 < metrics[2].recirc_rate < 1.0 and 0.0 < metrics[3].recirc_rate < 1.0
+
 
 class TestBatchedEpisodes:
     def test_batch_rows_equal_single_episodes(self):
