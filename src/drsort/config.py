@@ -11,6 +11,8 @@ both trainers share), TrainConfig, CbConfig and the group specs check
 their values, and RunSpec checks a run's name, mode, group, episodes and
 seeds. parse_config owns the cross-field rules: an env whose N and V equal
 the group set's, unique run names, and evaluation trials >= 1.
+`valuenet.unique_keys` owns the repeated-key rule, here as for checkpoints
+and report.json.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import MISSING, dataclass, field
 from .bandit import CbConfig
 from .induction import GroupSet, MultinomialSpec, TruncatedNormalSpec, build_group_set
 from .training import WORST_CASE_MODES, TrainConfig
+from .valuenet import RepeatedKeyError, unique_keys
 from .warehouse import EnvConfig
 
 
@@ -203,19 +206,11 @@ PRESETS = {"appendix-b": appendix_b_defaults}
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's dict; a key that appears twice in it is a ConfigError."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError("$", f"key {key!r} appears twice in one object")
-        doc[key] = value
-    return doc
-
-
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except RepeatedKeyError as exc:
+        raise ConfigError("$", str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
     top = _read(_Document, _typed(doc, dict, "$"), "$")

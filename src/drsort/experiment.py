@@ -2,7 +2,7 @@
 
 Outputs under the configured directory, each with one writer that the CLI
 shares:
-  metrics.csv            write_metrics_csv: one row per policy (Table-1
+  metrics.csv            metric_rows: one row per policy (Table-1
                          shape); byte-identical across re-runs of a config
   trace_<run>-s<seed>.csv  write_trace_csv: one training.TraceRow per episode
   cb_s<seed>.csv         train_predictor: predictor training-loss curves
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 import traceback
@@ -207,8 +208,12 @@ def _train_one(config: ExperimentConfig, out: Path, run: RunSpec, seed: int, ind
     }
 
 
-def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]) -> None:
-    """One Table-1-shaped row per policy, pooled over seeds and groups."""
+def metric_rows(config: ExperimentConfig, run_docs: list[dict]) -> list[tuple]:
+    """metrics.csv's rows: one Table-1-shaped row per policy, pooled over seeds and groups.
+
+    A pooled value that is not finite (finite numbers whose sum overflows)
+    is a ValueError naming the policy.
+    """
     rows = []
     for run in config.runs:
         docs = [d for d in run_docs if d["name"] == run.name]
@@ -217,14 +222,22 @@ def write_metrics_csv(path: Path, config: ExperimentConfig, run_docs: list[dict]
         rates, throughputs, amounts = [], [], []
         for doc in docs:
             for group in doc["evaluation"]["per_group"]:
-                rates.append(group["recirc_rate_mean"])
-                throughputs.append(group["throughput_mean"])
-                amounts.append(group["recirc_amount_mean"])
+                # as floats, so a sum that overflows is inf, not an OverflowError
+                rates.append(float(group["recirc_rate_mean"]))
+                throughputs.append(float(group["throughput_mean"]))
+                amounts.append(float(group["recirc_amount_mean"]))
         n = len(rates)
         mean_rate = sum(rates) / n
-        var = sum((r - mean_rate) ** 2 for r in rates) / n
-        rows.append((run.name, mean_rate, var**0.5, sum(throughputs) / n, sum(amounts) / n))
-    write_csv(path, METRIC_COLUMNS, rows)
+        try:
+            var = sum((r - mean_rate) ** 2 for r in rates) / n
+        except OverflowError:  # float ** raises where + gives inf
+            var = math.inf
+        row = (run.name, mean_rate, var**0.5, sum(throughputs) / n, sum(amounts) / n)
+        for column, value in zip(METRIC_COLUMNS[1:], row[1:]):
+            if not math.isfinite(value):
+                raise ValueError(f"{run.name}: the pooled {column} is not finite")
+        rows.append(row)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig, output_dir: Path | None = None) -> dict:
@@ -256,7 +269,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Path | None = None) -> 
                            "traceback": traceback.format_exc()})
     report = {"config": config_to_doc(config), "runs": run_docs, "errors": errors}
     (out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
-    write_metrics_csv(out / "metrics.csv", config, run_docs)
+    write_csv(out / "metrics.csv", METRIC_COLUMNS, metric_rows(config, run_docs))
     return report
 
 
@@ -270,23 +283,27 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
 
     The convergence file carries cumulative wall-clock per episode so
     training-efficiency curves can be plotted directly. A report.json that
-    is not valid JSON, not a JSON object, lacks `config` or `runs`, holds a
-    config that does not parse, a `runs` that is not a list of objects, or a
-    runs entry without `name`, `seed`, a bare file name as `trace`, or a
-    nonempty `evaluation.per_group` list of objects holding the three finite
-    numbers write_metrics_csv reads, is a ConfigError naming the file. So is
-    an entry whose name is not a run of the config, whose seed is not an int
-    among that run's seeds, whose (name, seed) repeats an earlier entry, or
-    whose per_group does not hold one entry per group of the config. Every
-    trace is read (read_trace_csv) in the same pass, so a missing or
-    malformed one also fails before either CSV is written.
+    is not valid JSON, repeats a key in one object, is not a JSON object,
+    lacks `config` or `runs`, holds a config that does not parse, a `runs`
+    that is not a list of objects, or a runs entry without `name`, `seed`, a
+    bare file name as `trace`, or a nonempty `evaluation.per_group` list of
+    objects holding the three finite numbers metric_rows reads, is a
+    ConfigError naming the file. So is an entry whose name is not a run of
+    the config, whose seed is not an int among that run's seeds, whose
+    (name, seed) repeats an earlier entry, or whose per_group does not hold
+    one entry per group of the config, and so are pooled metrics that are
+    not finite. Every trace is read (read_trace_csv) in the same pass, so a
+    missing or malformed one also fails before either CSV is written.
     """
     runs_dir = Path(runs_dir)
     report_path = runs_dir / "report.json"
     if not report_path.exists():
         raise FileNotFoundError(f"no report.json under {runs_dir}")
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = json.loads(report_path.read_text(encoding="utf-8"),
+                            object_pairs_hook=valuenet.unique_keys)
+    except valuenet.RepeatedKeyError as exc:
+        raise ConfigError(str(report_path), str(exc)) from None
     except ValueError as exc:
         raise ConfigError(str(report_path), f"not valid JSON: {exc}") from None
     if not isinstance(report, dict):
@@ -354,9 +371,13 @@ def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
                     cumulative,
                 )
             )
+    try:
+        metrics = metric_rows(config, report["runs"])
+    except ValueError as exc:
+        raise ConfigError(str(report_path), f"metrics.csv: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", config, report["runs"])
+    write_csv(out_dir / "metrics.csv", METRIC_COLUMNS, metrics)
     write_csv(
         out_dir / "convergence.csv",
         ("policy", "seed", "episode", "mean_return", "recirc_rate", "cum_wall_clock_s"),

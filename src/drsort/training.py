@@ -20,9 +20,10 @@ from an older era.
 Exhaustive probing is the group-wise inner max of Group DRO by Monte
 Carlo: each of the m groups is scored by the mean joint reward of
 n_probe one-step forward simulations of the live state and action.
-All m * n_probe probes run as one batch, one multinomial draw and one
-`warehouse.step` on `warehouse.tile` of the live state; `step` is pure,
-so the live state is never copied or advanced.
+All m * n_probe probes are one multinomial draw, scored by
+`warehouse.joint_rewards`: a probe's joint reward is one masked integer
+sum of its inductions and the backlog where the action assigns no chute,
+so the live state is never tiled, copied, stepped or advanced.
 """
 
 from __future__ import annotations
@@ -124,16 +125,15 @@ def probe_group_reward(
 ) -> np.ndarray:
     """(m,) mean joint reward of each group over n_probe one-step simulations.
 
-    The probes are one (m * n_probe, N) batch in group-major order, so the
-    draws consume `rng` exactly like n_probe draws per group, group by
-    group. Every probe reward is integer-valued, so the means are exact.
+    The probes' inductions are one (m * n_probe, N) draw in group-major
+    order, so they consume `rng` exactly like n_probe draws per group,
+    group by group, and `warehouse.joint_rewards` scores them all at once,
+    bit-equal to the summed rewards of `warehouse.step`.
     """
     m = group_set.size
-    probes = warehouse.tile(state, m * n_probe)
     induction = group_set.sample(np.repeat(np.arange(m), n_probe), rng)
-    actions = np.broadcast_to(action, probes.recirc_backlog.shape)
-    outcome = warehouse.step(probes, actions, induction, env_config)
-    return outcome.rewards.sum(axis=-1).reshape(m, n_probe).sum(axis=1) / n_probe
+    rewards = warehouse.joint_rewards(state, action, induction, env_config)
+    return rewards.reshape(m, n_probe).sum(axis=1) / n_probe
 
 
 def select_worst_group(

@@ -328,7 +328,7 @@ def action_value_table(params: MlpParams, observations: np.ndarray, a_max: int) 
         stop = min(start + FORWARD_BLOCK_ROWS, n_rows)
         padded = stop + (start - stop) % FORWARD_ROW_MULTIPLE
         rows = np.minimum(np.arange(start, padded), n_rows - 1)
-        inputs = q_inputs(flat[rows // width], rows % width, a_max, params.dtype)
+        inputs = q_inputs(np.take(flat, rows // width, axis=0), rows % width, a_max, params.dtype)
         out[start:stop] = mlp_forward(params, inputs)[: stop - start, 0]
     return out.reshape(observations.shape[:-1] + (width,))
 
@@ -463,6 +463,24 @@ class ReplayBuffer:
 CHECKPOINT_VERSION = 1
 
 
+class RepeatedKeyError(ValueError):
+    """A key appears twice in one JSON object."""
+
+
+def unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook for every file drsort reads: the object's dict.
+
+    JSON alone would keep the last value of a repeated key; here a key that
+    appears twice in one object is a RepeatedKeyError.
+    """
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise RepeatedKeyError(f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
 def config_hash(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
@@ -501,15 +519,17 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored.
 
     A file that cannot be read, is not UTF-8 JSON or not a JSON object, a
-    missing field, a dtype other than the two that save_checkpoint writes,
-    or weights and biases that do not match layer_dims raise CheckpointError
-    naming the defect.
+    key repeated in one object, a missing field, a dtype other than the two
+    that save_checkpoint writes, or weights and biases that do not match
+    layer_dims raise CheckpointError naming the defect.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise CheckpointError(f"cannot be read: {exc.strerror}") from None
+    except RepeatedKeyError as exc:
+        raise CheckpointError(str(exc)) from None
     except ValueError as exc:
         raise CheckpointError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -234,7 +234,8 @@ def check_gradients(seed: int = 0, nets: int = 10) -> CheckResult:
 
 
 def check_env_conservation(seed: int = 0, steps: int = 10_000) -> CheckResult:
-    """Per-destination package conservation and budget safety."""
+    """Per-destination package conservation, budget safety, and joint_rewards
+    bit-equal to each step's summed rewards."""
     rng = stream(seed, "verify/env")
     config = warehouse.EnvConfig(
         n_destinations=6, n_chutes=3, episode_steps=5, step_volume=40, action_max=2
@@ -251,10 +252,16 @@ def check_env_conservation(seed: int = 0, steps: int = 10_000) -> CheckResult:
             return CheckResult("env-conservation", False, f"conservation violated at step {k}")
         if outcome.next_state.chutes_assigned.sum() > config.n_chutes:
             return CheckResult("env-conservation", False, f"budget violated at step {k}")
+        joint = warehouse.joint_rewards(state, action, induction[None], config)
+        if joint.view(np.uint64) != outcome.rewards.sum(keepdims=True).view(np.uint64):
+            return CheckResult("env-conservation", False, f"joint reward mismatch at step {k}")
         state = outcome.next_state
         if state.t >= config.episode_steps:
             state = warehouse.reset(config)
-    return CheckResult("env-conservation", True, f"{steps} random steps conserved packages")
+    return CheckResult(
+        "env-conservation", True,
+        f"{steps} random steps conserved packages and matched joint_rewards",
+    )
 
 
 def check_induction_correctness(seed: int = 0) -> CheckResult:

@@ -156,8 +156,10 @@ def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path,
     [
         ('{"format_version": 1,', "not valid JSON: "),
         ("[1]", "the top level is not a JSON object"),
+        ('{"format_version": 1, "format_version": 1}',
+         "key 'format_version' appears twice in one object"),
     ],
-    ids=["truncated-json", "top-level-list"],
+    ids=["truncated-json", "top-level-list", "repeated-key"],
 )
 def test_a_checkpoint_that_is_not_a_json_object_exits_2_naming_the_file(
     capsys, tmp_path, text, message

@@ -209,12 +209,18 @@ def test_report_subcommand_on_a_malformed_trace_exits_2_writing_nothing(
      '"evaluation": {"per_group": [{"recirc_rate_mean": 0.5, "throughput_mean": 1, '
      f'"recirc_amount_mean": {10**400}}}]}}}}]}}',
      "runs[0].evaluation.per_group[0].recirc_amount_mean is not finite"),
+    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, '
+     '"trace": "trace_marl-center-s1.csv", "evaluation": {"per_group": ' + json.dumps(
+         [{"recirc_rate_mean": 0.5, "throughput_mean": 1e308 if g < 2 else 1,
+           "recirc_amount_mean": 1} for g in range(9)]) + '}}]}',
+     "metrics.csv: marl-center: the pooled throughput_mean is not finite"),
+    ('{"config": CONFIG, "runs": [], "runs": []}', "key 'runs' appears twice in one object"),
 ], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
         "no-seed", "no-trace", "trace-path", "trace-parent", "no-evaluation",
         "group-not-object", "no-recirc-rate", "bool-recirc-rate", "runs-int",
         "runs-of-strings", "runs-object", "unknown-name", "string-seed", "bool-seed",
         "repeated-run", "short-per-group", "nan-recirc-rate", "infinite-throughput",
-        "int-past-float-range"])
+        "int-past-float-range", "pooled-overflow", "repeated-key"])
 def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
     canonical, tmp_path, capsys, text, message
 ):

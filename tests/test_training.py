@@ -730,6 +730,70 @@ def probe_setups():
     }
 
 
+def assert_joint_rewards_equal_step(state, action, inductions, env):
+    """joint_rewards is bit-equal to the summed rewards of step on the tiled state."""
+    p = len(inductions)
+    got = warehouse.joint_rewards(state, action, inductions, env)
+    outcome = warehouse.step(
+        warehouse.tile(state, p), np.broadcast_to(action, inductions.shape), inductions, env
+    )
+    assert got.dtype == np.float64 and got.shape == (p,)
+    assert np.array_equal(got.view(np.uint64), outcome.rewards.sum(axis=-1).view(np.uint64))
+    return got
+
+
+def joint_reward_setups():
+    """probe_setups and a fractional penalty, whose rewards round."""
+    setups = probe_setups()
+    env, group_set, n_probe = setups["main-formulation"]
+    setups["fractional-penalty"] = (
+        dataclasses.replace(env, action_penalty=0.3), group_set, n_probe
+    )
+    return setups
+
+
+class TestJointRewards:
+    @pytest.mark.parametrize("setup", list(joint_reward_setups()))
+    def test_bit_equal_to_the_summed_rewards_of_step(self, setup):
+        env, group_set, n_probe = joint_reward_setups()[setup]
+        cases = stream(43, f"test/probe-cases/{setup}")
+        draws = stream(43, "test/probe")
+        groups = np.repeat(np.arange(group_set.size), n_probe)
+        backlogged = 0
+        for state, action in probe_cases(env, cases, 100):
+            before = warehouse.clone_state(state)
+            assert_joint_rewards_equal_step(state, action, group_set.sample(groups, draws), env)
+            assert state == before
+            backlogged += bool(state.recirc_backlog[action == 0].any())
+        assert backlogged > 50
+
+    @pytest.mark.parametrize("setup", ["appendix-b", "main-formulation", "small-n_probe-3"])
+    def test_an_all_zero_action_recirculates_every_arrival(self, setup):
+        env, group_set, n_probe = probe_setups()[setup]
+        rng = stream(44, f"test/joint-rewards/{setup}")
+        backlog = rng.integers(0, env.step_volume, size=env.n_destinations)
+        state = dataclasses.replace(warehouse.reset(env), recirc_backlog=backlog)
+        inductions = group_set.sample(np.repeat(np.arange(group_set.size), n_probe), rng)
+        action = np.zeros(env.n_destinations, dtype=int)
+        got = assert_joint_rewards_equal_step(state, action, inductions, env)
+        assert got.tolist() == [-float(row.sum() + backlog.sum()) for row in inductions]
+
+    @pytest.mark.parametrize("setup", ["appendix-b", "main-formulation", "small-n_probe-3"])
+    def test_an_action_that_leaves_nothing_recirculated(self, setup):
+        env, group_set, n_probe = probe_setups()[setup]
+        rng = stream(45, f"test/joint-rewards/{setup}")
+        n, a_max, m = env.n_destinations, env.action_max, env.n_chutes
+        action = budget.sample_feasible_uniform(n, a_max, m, rng)
+        chuted = action > 0
+        backlog = rng.integers(0, env.step_volume, size=n) * chuted
+        state = dataclasses.replace(warehouse.reset(env), recirc_backlog=backlog)
+        inductions = group_set.sample(np.repeat(np.arange(group_set.size), n_probe), rng)
+        got = assert_joint_rewards_equal_step(state, action, inductions * chuted, env)
+        assert got.tolist() == [-env.action_penalty * action.sum()] * len(inductions)
+        # step's sum starts from +0.0, so a zero reward (all of appendix-B's) is never -0.0
+        assert not np.signbit(got[got == 0]).any()
+
+
 class TestExhaustiveProbing:
     @pytest.mark.parametrize("setup", list(probe_setups()))
     def test_batched_probes_match_the_scalar_loop(self, setup):

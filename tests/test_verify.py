@@ -99,3 +99,16 @@ def test_a_backward_without_the_output_bias_gradient_fails_the_gradient_check(mo
     result = verify.check_gradients(nets=2)
     assert not result.passed
     assert "relative error" in result.detail
+
+
+def test_joint_rewards_without_the_backlog_fail_env_conservation(monkeypatch):
+    real_joint_rewards = warehouse.joint_rewards
+
+    def backlogless_joint_rewards(state, action, inductions, config):
+        cleared = dataclasses.replace(state, recirc_backlog=np.zeros_like(state.recirc_backlog))
+        return real_joint_rewards(cleared, action, inductions, config)
+
+    monkeypatch.setattr(warehouse, "joint_rewards", backlogless_joint_rewards)
+    result = verify.check_env_conservation(steps=200)
+    assert not result.passed
+    assert "joint reward mismatch" in result.detail
