@@ -21,9 +21,10 @@ Exhaustive probing is the group-wise inner max of Group DRO by Monte
 Carlo: each of the m groups is scored by the mean joint reward of
 n_probe one-step forward simulations of the live state and action.
 All m * n_probe probes are one multinomial draw, scored by
-`warehouse.joint_rewards`: a probe's joint reward is one masked integer
-sum of its inductions and the backlog where the action assigns no chute,
-so the live state is never tiled, copied, stepped or advanced.
+`warehouse.joint_rewards`: a probe's joint reward needs only its
+inductions and the backlog where the action assigns no chute, plus the
+action penalty, so the live state is never tiled, copied, stepped or
+advanced.
 """
 
 from __future__ import annotations

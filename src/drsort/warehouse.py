@@ -190,22 +190,13 @@ def joint_rewards(
     """(P,) joint one-step rewards of one (N,) state and action under a (P, N) induction stack.
 
     Bit-equal to step(tile(state, P), np.broadcast_to(action, (P, N)),
-    inductions, config).rewards.sum(axis=-1), without the step. With a
-    whole-number action_penalty (0 and 2 in both formulations) every term
-    of that sum is a whole number, so, below 2**53, it is exact, and a row's
-    reward is one masked integer sum: -(its inductions and the backlog where
-    action == 0) - action_penalty * action.sum(). A zero is +0.0 in both, as
-    numpy's sum starts from +0.0 and the integer negation leaves no -0.0. A
-    fractional penalty rounds each term, so those rewards are summed per
-    destination in step's order. Nothing is checked, copied or advanced:
-    `step` checks the action taken.
+    inductions, config).rewards.sum(axis=-1), without the step: it forms
+    step's per-destination rewards, -(inductions and backlog where
+    action == 0) - action_penalty * action, and sums them in step's order.
+    Nothing is checked, copied or advanced: `step` checks the action taken.
     """
-    idle = action == 0
-    if not float(config.action_penalty).is_integer():
-        arrivals = np.where(idle, inductions + state.recirc_backlog, 0)
-        return (-arrivals.astype(float) - config.action_penalty * action).sum(axis=-1)
-    recirculated = inductions @ idle + state.recirc_backlog @ idle
-    return (-recirculated).astype(float) - config.action_penalty * action.sum()
+    recirculated = np.where(action == 0, inductions + state.recirc_backlog, 0)
+    return (-recirculated.astype(float) - config.action_penalty * action).sum(axis=-1)
 
 
 def _backlog_cap(config: EnvConfig) -> int:
