@@ -1,6 +1,6 @@
 """Command-line interface: parses arguments and maps errors to exit codes.
 
-Subcommands: train, cb-train, eval, verify, report, experiment. What each
+Subcommands: train, cb-train, eval, verify, experiment. What each
 one trains, evaluates and writes is done by `experiment`, `training` and
 `verify`, the same functions `run_experiment` calls.
 Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime failure.
@@ -66,10 +66,6 @@ def _build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="run the fast property suites")
     vf.add_argument("--seed", type=int, default=0)
-
-    rp = sub.add_parser("report", help="aggregate a finished matrix into CSV reports")
-    rp.add_argument("--runs", type=Path, required=True)
-    rp.add_argument("--out", type=Path, default=None)
 
     ex = sub.add_parser("experiment", help="run a full experiment config")
     ex.add_argument("--config", type=Path, required=True)
@@ -202,13 +198,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    out = args.out if args.out is not None else args.runs
-    experiment.regenerate_reports(args.runs, out)
-    print(f"wrote metrics.csv and convergence.csv under {out}")
-    return EXIT_OK
-
-
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     steps = cfg.env.episode_steps
@@ -231,7 +220,6 @@ _COMMANDS = {
     "cb-train": _cmd_cb_train,
     "eval": _cmd_eval,
     "verify": _cmd_verify,
-    "report": _cmd_report,
     "experiment": _cmd_experiment,
 }
 
@@ -247,9 +235,6 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

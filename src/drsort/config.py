@@ -11,8 +11,7 @@ both trainers share), TrainConfig, CbConfig and the group specs check
 their values, and RunSpec checks a run's name, mode, group, episodes and
 seeds. parse_config owns the cross-field rules: an env whose N and V equal
 the group set's, unique run names, and evaluation trials >= 1.
-`valuenet.unique_keys` owns the repeated-key rule, here as for checkpoints
-and report.json.
+`valuenet.unique_keys` owns the repeated-key rule, for configs and checkpoints alike.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ Outputs under the configured directory, each with one writer that the CLI
 shares:
   metrics.csv            metric_rows: one row per policy (Table-1
                          shape); byte-identical across re-runs of a config
+  convergence.csv        run_experiment: each job's trace episodes with its
+                         cumulative training wall-clock, in report.json order
   trace_<run>-s<seed>.csv  write_trace_csv: one training.TraceRow per episode
   cb_s<seed>.csv         train_predictor: predictor training-loss curves
   checkpoints/*.json     save_policy (policies), train_predictor (predictors);
@@ -15,22 +17,22 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
-import math
-import sys
 import time
 import traceback
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import bandit, training, valuenet, warehouse
-from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc, parse_config
+from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc
 from .induction import GroupSet
 
 TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(training.TraceRow))
-_TRACE_TYPES = typing.get_type_hints(training.TraceRow)
+CONVERGENCE_COLUMNS = (
+    "policy", "seed", "episode", "mean_return", "recirc_rate", "cum_wall_clock_s"
+)
 METRIC_COLUMNS = (
     "policy",
     "recirc_rate_mean",
@@ -50,28 +52,6 @@ def write_csv(path: Path, columns, rows) -> None:
 
 def write_trace_csv(path: Path, trace: list[training.TraceRow]) -> None:
     write_csv(path, TRACE_COLUMNS, [dataclasses.astuple(row) for row in trace])
-
-
-def read_trace_csv(path: Path) -> list[dict]:
-    """The rows of a trace CSV, each value converted to its TraceRow field's type.
-
-    A header other than TRACE_COLUMNS, a row of another length or a value its
-    field's type cannot parse is a ConfigError naming the file.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != TRACE_COLUMNS:
-        raise ConfigError(str(path), f"header is not {','.join(TRACE_COLUMNS)}")
-    records, width = [], len(TRACE_COLUMNS)
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ConfigError(str(path), f"line {line} has {len(row)} fields, not {width}")
-        try:
-            record = {key: _TRACE_TYPES[key](value) for key, value in zip(TRACE_COLUMNS, row)}
-        except ValueError as exc:
-            raise ConfigError(str(path), f"line {line}: {exc}") from None
-        records.append(record)
-    return records
 
 
 def save_policy(
@@ -157,8 +137,9 @@ def evaluation_to_doc(report: training.EvaluationReport) -> dict:
 
 def _train_one(config: ExperimentConfig, out: Path, run: RunSpec, seed: int, inductions,
                anchors: dict[int, valuenet.MlpParams],
-               predictors: dict[int, valuenet.MlpParams]) -> dict:
-    """Train, evaluate and save one (run, seed) job; return its report.json entry.
+               predictors: dict[int, valuenet.MlpParams]
+               ) -> tuple[dict, list[training.TraceRow]]:
+    """Train, evaluate and save one (run, seed) job; return its report.json entry and trace.
 
     A cb job first trains the seed's predictor, once per seed, exploring
     on the seed's anchor. A fixed job's policy becomes the seed's anchor
@@ -205,15 +186,11 @@ def _train_one(config: ExperimentConfig, out: Path, run: RunSpec, seed: int, ind
         "trace": trace_path.name,
         "checkpoint": str(checkpoint_path.relative_to(out)),
         "evaluation": evaluation_to_doc(evaluation),
-    }
+    }, result.trace
 
 
 def metric_rows(config: ExperimentConfig, run_docs: list[dict]) -> list[tuple]:
-    """metrics.csv's rows: one Table-1-shaped row per policy, pooled over seeds and groups.
-
-    A pooled value that is not finite (finite numbers whose sum overflows)
-    is a ValueError naming the policy.
-    """
+    """metrics.csv's rows: one Table-1-shaped row per policy, pooled over seeds and groups."""
     rows = []
     for run in config.runs:
         docs = [d for d in run_docs if d["name"] == run.name]
@@ -222,21 +199,13 @@ def metric_rows(config: ExperimentConfig, run_docs: list[dict]) -> list[tuple]:
         rates, throughputs, amounts = [], [], []
         for doc in docs:
             for group in doc["evaluation"]["per_group"]:
-                # as floats, so a sum that overflows is inf, not an OverflowError
-                rates.append(float(group["recirc_rate_mean"]))
-                throughputs.append(float(group["throughput_mean"]))
-                amounts.append(float(group["recirc_amount_mean"]))
+                rates.append(group["recirc_rate_mean"])
+                throughputs.append(group["throughput_mean"])
+                amounts.append(group["recirc_amount_mean"])
         n = len(rates)
         mean_rate = sum(rates) / n
-        try:
-            var = sum((r - mean_rate) ** 2 for r in rates) / n
-        except OverflowError:  # float ** raises where + gives inf
-            var = math.inf
-        row = (run.name, mean_rate, var**0.5, sum(throughputs) / n, sum(amounts) / n)
-        for column, value in zip(METRIC_COLUMNS[1:], row[1:]):
-            if not math.isfinite(value):
-                raise ValueError(f"{run.name}: the pooled {column} is not finite")
-        rows.append(row)
+        var = sum((r - mean_rate) ** 2 for r in rates) / n
+        rows.append((run.name, mean_rate, var**0.5, sum(throughputs) / n, sum(amounts) / n))
     return rows
 
 
@@ -259,127 +228,22 @@ def run_experiment(config: ExperimentConfig, output_dir: Path | None = None) -> 
     )
     anchors: dict[int, valuenet.MlpParams] = {}
     predictors: dict[int, valuenet.MlpParams] = {}
-    run_docs, errors = [], []
+    run_docs, errors, convergence = [], [], []
     for run, seed in jobs:
         try:
-            run_docs.append(_train_one(config, out, run, seed, inductions, anchors, predictors))
+            doc, trace = _train_one(config, out, run, seed, inductions, anchors, predictors)
         except Exception as exc:  # noqa: BLE001 - isolate per-run failures
             errors.append({"name": run.name, "seed": seed,
                            "error": f"{type(exc).__name__}: {exc}",
                            "traceback": traceback.format_exc()})
+            continue
+        run_docs.append(doc)
+        cumulative = itertools.accumulate(row.wall_clock_s for row in trace)
+        convergence.extend((run.name, seed, row.episode, row.mean_return, row.recirc_rate, total)
+                           for row, total in zip(trace, cumulative))
     report = {"config": config_to_doc(config), "runs": run_docs, "errors": errors}
     (out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     write_csv(out / "metrics.csv", METRIC_COLUMNS, metric_rows(config, run_docs))
+    write_csv(out / "convergence.csv", CONVERGENCE_COLUMNS, convergence)
     return report
 
-
-# ---------------------------------------------------------------------------
-# Report regeneration (the `report` subcommand)
-# ---------------------------------------------------------------------------
-
-
-def regenerate_reports(runs_dir: Path, out_dir: Path) -> None:
-    """Rebuild metrics.csv and a convergence CSV from a finished matrix.
-
-    The convergence file carries cumulative wall-clock per episode so
-    training-efficiency curves can be plotted directly. A report.json that
-    is not valid JSON, repeats a key in one object, is not a JSON object,
-    lacks `config` or `runs`, holds a config that does not parse, a `runs`
-    that is not a list of objects, or a runs entry without `name`, `seed`, a
-    bare file name as `trace`, or a nonempty `evaluation.per_group` list of
-    objects holding the three finite numbers metric_rows reads, is a
-    ConfigError naming the file. So is an entry whose name is not a run of
-    the config, whose seed is not an int among that run's seeds, whose
-    (name, seed) repeats an earlier entry, or whose per_group does not hold
-    one entry per group of the config, and so are pooled metrics that are
-    not finite. Every trace is read (read_trace_csv) in the same pass, so a
-    missing or malformed one also fails before either CSV is written.
-    """
-    runs_dir = Path(runs_dir)
-    report_path = runs_dir / "report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(f"no report.json under {runs_dir}")
-    try:
-        report = json.loads(report_path.read_text(encoding="utf-8"),
-                            object_pairs_hook=valuenet.unique_keys)
-    except valuenet.RepeatedKeyError as exc:
-        raise ConfigError(str(report_path), str(exc)) from None
-    except ValueError as exc:
-        raise ConfigError(str(report_path), f"not valid JSON: {exc}") from None
-    if not isinstance(report, dict):
-        raise ConfigError(str(report_path), "the top level is not a JSON object")
-    for key in ("config", "runs"):
-        if key not in report:
-            raise ConfigError(str(report_path), f"missing field {key!r}")
-    try:
-        config = parse_config(json.dumps(report["config"]))
-    except ConfigError as exc:
-        raise ConfigError(str(report_path), f"config {exc}") from None
-    if not isinstance(report["runs"], list):
-        raise ConfigError(str(report_path), "runs is not a list")
-    run_seeds = {run.name: run.seeds for run in config.runs}
-    seen = set()
-    convergence_rows = []
-    for i, doc in enumerate(report["runs"]):
-        if not isinstance(doc, dict):
-            raise ConfigError(str(report_path), f"runs[{i}] is not an object")
-        for key in ("name", "seed", "trace"):
-            if key not in doc:
-                raise ConfigError(str(report_path), f"runs[{i}]: missing field {key!r}")
-        trace = doc["trace"]
-        if not isinstance(trace, str) or "/" in trace or trace in ("", ".", ".."):
-            raise ConfigError(str(report_path), f"runs[{i}].trace: {trace!r} is not a file name")
-        evaluation = doc.get("evaluation")
-        groups = evaluation.get("per_group") if isinstance(evaluation, dict) else None
-        if not isinstance(groups, list) or not groups:
-            raise ConfigError(str(report_path), f"runs[{i}].evaluation.per_group is empty or not a list")
-        for j, group in enumerate(groups):
-            at = f"runs[{i}].evaluation.per_group[{j}]"
-            if not isinstance(group, dict):
-                raise ConfigError(str(report_path), f"{at} is not an object")
-            for key in ("recirc_rate_mean", "throughput_mean", "recirc_amount_mean"):
-                if type(group.get(key)) not in (int, float):
-                    raise ConfigError(str(report_path), f"{at}.{key} is not a number")
-                # NaN, an infinity, or an int no float holds
-                if not abs(group[key]) <= sys.float_info.max:
-                    raise ConfigError(str(report_path), f"{at}.{key} is not finite")
-        name, seed = doc["name"], doc["seed"]
-        if not isinstance(name, str) or name not in run_seeds:
-            problem = f"runs[{i}].name: {name!r} is not a run of the config"
-        elif type(seed) is not int or seed not in run_seeds[name]:
-            problem = f"runs[{i}].seed: {seed!r} is not a seed of run {name!r}"
-        elif (name, seed) in seen:
-            problem = f"runs[{i}]: ({name!r}, {seed}) repeats an earlier entry"
-        elif len(groups) != config.group_set.size:
-            problem = (f"runs[{i}].evaluation.per_group has length {len(groups)}, "
-                       f"not the config's {config.group_set.size} groups")
-        else:
-            problem = None
-        if problem:
-            raise ConfigError(str(report_path), problem)
-        seen.add((name, seed))
-        cumulative = 0.0
-        for record in read_trace_csv(runs_dir / trace):
-            cumulative += record["wall_clock_s"]
-            convergence_rows.append(
-                (
-                    name,
-                    seed,
-                    record["episode"],
-                    record["mean_return"],
-                    record["recirc_rate"],
-                    cumulative,
-                )
-            )
-    try:
-        metrics = metric_rows(config, report["runs"])
-    except ValueError as exc:
-        raise ConfigError(str(report_path), f"metrics.csv: {exc}") from None
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "metrics.csv", METRIC_COLUMNS, metrics)
-    write_csv(
-        out_dir / "convergence.csv",
-        ("policy", "seed", "episode", "mean_return", "recirc_rate", "cum_wall_clock_s"),
-        convergence_rows,
-    )

@@ -43,6 +43,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys)[0] == cli.EXIT_USAGE
     assert run(capsys, "train", "--mode", "fixed")[0] == cli.EXIT_USAGE  # no --seed
     assert run(capsys, "train", "--mode", "minimax", "--seed", 1)[0] == cli.EXIT_USAGE
+    assert run(capsys, "report", "--runs", "runs")[0] == cli.EXIT_USAGE  # no such subcommand
 
 
 def test_fixed_training_without_a_group_exits_2(capsys, tmp_path):
@@ -197,6 +198,16 @@ def test_eval_of_a_checkpoint_with_another_format_version_exits_3(capsys, tmp_pa
     code, err = run(capsys, "eval", "--checkpoint", checkpoint, "--seed", 1, "--out", tmp_path)
     assert code == cli.EXIT_RUNTIME
     assert "format version" in err
+
+
+def test_a_missing_file_during_a_run_exits_3(capsys, monkeypatch):
+    def failing(seed):
+        raise FileNotFoundError("scratch.bin")
+
+    monkeypatch.setattr(cli.verify, "run_all", failing)
+    assert run(capsys, "verify") == (
+        cli.EXIT_RUNTIME, "runtime error: FileNotFoundError: scratch.bin\n"
+    )
 
 
 def test_a_run_shorter_than_one_batch_says_so_on_stderr(capsys, tmp_path):

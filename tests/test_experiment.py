@@ -1,8 +1,8 @@
 import csv
 import dataclasses
+import io
 import json
-import shutil
-from pathlib import Path
+import typing
 
 import numpy as np
 import pytest
@@ -25,6 +25,15 @@ def tiny_config(runs):
         "runs": runs,
     }
     return config.parse_config(json.dumps(doc))
+
+
+def read_trace(path):
+    """A trace CSV's header and its rows as dicts, each value of its TraceRow field's type."""
+    types = typing.get_type_hints(training.TraceRow)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return tuple(header), [{key: types[key](value) for key, value in zip(header, row, strict=True)}
+                           for row in rows]
 
 
 def metrics_by_policy(out):
@@ -103,141 +112,6 @@ def test_rerun_writes_byte_identical_metrics(canonical, tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
-def test_report_subcommand_rebuilds_metrics_byte_for_byte(canonical, tmp_path):
-    out, _ = canonical
-    assert cli.main(["report", "--runs", str(out), "--out", str(tmp_path)]) == cli.EXIT_OK
-    assert (tmp_path / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
-    with open(tmp_path / "convergence.csv", newline="", encoding="utf-8") as fh:
-        assert len(list(csv.reader(fh))) == 1 + 5 * 2  # header, 5 jobs x 2 episodes
-
-
-def test_report_subcommand_on_a_missing_trace_exits_2_writing_nothing(canonical, tmp_path, capsys):
-    out, report = canonical
-    runs = tmp_path / "runs"
-    shutil.copytree(out, runs)
-    trace = report["runs"][-1]["trace"]
-    (runs / trace).unlink()
-    rebuilt = tmp_path / "rebuilt"
-    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
-    assert Path(trace).name in capsys.readouterr().err
-    assert not list(rebuilt.glob("*.csv"))
-
-
-def _set_wall_clock(rows):
-    rows[1][experiment.TRACE_COLUMNS.index("wall_clock_s")] = "fast"
-
-
-def _misspell_header(rows):
-    rows[0][0] = "epsiode"
-
-
-def _shorten_row(rows):
-    del rows[2][-1]
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_set_wall_clock, "line 2: could not convert string to float: 'fast'"),
-    (_misspell_header, f"header is not {','.join(experiment.TRACE_COLUMNS)}"),
-    (_shorten_row, "line 3 has 7 fields, not 8"),
-], ids=["not-a-number", "wrong-header", "short-row"])
-def test_report_subcommand_on_a_malformed_trace_exits_2_writing_nothing(
-    canonical, tmp_path, capsys, edit, message
-):
-    out, report = canonical
-    runs = tmp_path / "runs"
-    shutil.copytree(out, runs)
-    trace = runs / report["runs"][-1]["trace"]
-    with open(trace, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    edit(rows)
-    experiment.write_csv(trace, rows[0], rows[1:])
-    rebuilt = tmp_path / "rebuilt"
-    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
-    assert f"config error: {trace}: {message}" in capsys.readouterr().err
-    assert not list(rebuilt.glob("*.csv"))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("{not json", "not valid JSON: "),
-    ("[]", "the top level is not a JSON object"),
-    ('{"runs": []}', "missing field 'config'"),
-    ('{"config": {}}', "missing field 'runs'"),
-    ('{"config": {}, "runs": []}', "config $.master_seed: missing required field"),
-    ('{"config": CONFIG, "runs": [{"seed": 1, "trace": "t.csv"}]}',
-     "runs[0]: missing field 'name'"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "trace": "t.csv"}]}',
-     "runs[0]: missing field 'seed'"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1}]}', "runs[0]: missing field 'trace'"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "../report.json"}]}',
-     "runs[0].trace: '../report.json' is not a file name"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": ".."}]}',
-     "runs[0].trace: '..' is not a file name"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv"}]}',
-     "runs[0].evaluation.per_group is empty or not a list"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
-     '{"per_group": [1]}}]}', "runs[0].evaluation.per_group[0] is not an object"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
-     '{"per_group": [{"throughput_mean": 1, "recirc_amount_mean": 1}]}}]}',
-     "runs[0].evaluation.per_group[0].recirc_rate_mean is not a number"),
-    ('{"config": CONFIG, "runs": [{"name": "a", "seed": 1, "trace": "t.csv", "evaluation": '
-     '{"per_group": [{"recirc_rate_mean": true, "throughput_mean": 1, '
-     '"recirc_amount_mean": 1}]}}]}',
-     "runs[0].evaluation.per_group[0].recirc_rate_mean is not a number"),
-    ('{"config": CONFIG, "runs": 5}', "runs is not a list"),
-    ('{"config": CONFIG, "runs": ["name seed trace"]}', "runs[0] is not an object"),
-    ('{"config": CONFIG, "runs": {"x": 1}}', "runs is not a list"),
-    ('{"config": CONFIG, "runs": [{"name": "drmarl-randm", "seed": 1, "trace": "t.csv", '
-     '"evaluation": ONE_GROUP}]}', "runs[0].name: 'drmarl-randm' is not a run of the config"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": "one", "trace": "t.csv", '
-     '"evaluation": ONE_GROUP}]}', "runs[0].seed: 'one' is not a seed of run 'marl-center'"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": true, "trace": "t.csv", '
-     '"evaluation": ONE_GROUP}]}', "runs[0].seed: True is not a seed of run 'marl-center'"),
-    ('{"config": CONFIG, "runs": [FIRST_RUN, FIRST_RUN]}',
-     "runs[1]: ('marl-center', 1) repeats an earlier entry"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
-     '"evaluation": ONE_GROUP}]}',
-     "runs[0].evaluation.per_group has length 1, not the config's 9 groups"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
-     '"evaluation": {"per_group": [{"recirc_rate_mean": NaN, "throughput_mean": 1, '
-     '"recirc_amount_mean": 1}]}}]}',
-     "runs[0].evaluation.per_group[0].recirc_rate_mean is not finite"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
-     '"evaluation": {"per_group": [{"recirc_rate_mean": 0.5, "throughput_mean": Infinity, '
-     '"recirc_amount_mean": 1}]}}]}',
-     "runs[0].evaluation.per_group[0].throughput_mean is not finite"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, "trace": "t.csv", '
-     '"evaluation": {"per_group": [{"recirc_rate_mean": 0.5, "throughput_mean": 1, '
-     f'"recirc_amount_mean": {10**400}}}]}}}}]}}',
-     "runs[0].evaluation.per_group[0].recirc_amount_mean is not finite"),
-    ('{"config": CONFIG, "runs": [{"name": "marl-center", "seed": 1, '
-     '"trace": "trace_marl-center-s1.csv", "evaluation": {"per_group": ' + json.dumps(
-         [{"recirc_rate_mean": 0.5, "throughput_mean": 1e308 if g < 2 else 1,
-           "recirc_amount_mean": 1} for g in range(9)]) + '}}]}',
-     "metrics.csv: marl-center: the pooled throughput_mean is not finite"),
-    ('{"config": CONFIG, "runs": [], "runs": []}', "key 'runs' appears twice in one object"),
-], ids=["not-json", "top-level-list", "no-config", "no-runs", "bad-config", "no-name",
-        "no-seed", "no-trace", "trace-path", "trace-parent", "no-evaluation",
-        "group-not-object", "no-recirc-rate", "bool-recirc-rate", "runs-int",
-        "runs-of-strings", "runs-object", "unknown-name", "string-seed", "bool-seed",
-        "repeated-run", "short-per-group", "nan-recirc-rate", "infinite-throughput",
-        "int-past-float-range", "pooled-overflow", "repeated-key"])
-def test_report_subcommand_on_a_broken_report_exits_2_writing_nothing(
-    canonical, tmp_path, capsys, text, message
-):
-    out, report = canonical
-    runs = tmp_path / "runs"
-    shutil.copytree(out, runs)
-    one_group = {"recirc_rate_mean": 0.5, "throughput_mean": 1, "recirc_amount_mean": 1}
-    text = (text.replace("FIRST_RUN", json.dumps(report["runs"][0]))
-            .replace("ONE_GROUP", json.dumps({"per_group": [one_group]}))
-            .replace("CONFIG", json.dumps(report["config"])))
-    (runs / "report.json").write_text(text, encoding="utf-8")
-    rebuilt = tmp_path / "rebuilt"
-    assert cli.main(["report", "--runs", str(runs), "--out", str(rebuilt)]) == cli.EXIT_CONFIG
-    assert f"config error: {runs / 'report.json'}: {message}" in capsys.readouterr().err
-    assert not list(rebuilt.glob("*.csv"))
-
-
 def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(
     canonical, tmp_path
 ):
@@ -260,9 +134,39 @@ def test_trace_csv_columns_are_the_trace_row_fields(canonical):
     out, report = canonical
     names = tuple(f.name for f in dataclasses.fields(training.TraceRow))
     assert experiment.TRACE_COLUMNS == names
-    records = experiment.read_trace_csv(out / report["runs"][0]["trace"])
+    header, records = read_trace(out / report["runs"][0]["trace"])
+    assert header == names
     assert [tuple(record) for record in records] == [names, names]
     assert [type(records[0][name]) for name in names] == [int, str] + [float] * 6
+
+
+def read_convergence(out):
+    with open(out / "convergence.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == experiment.CONVERGENCE_COLUMNS
+    return rows
+
+
+def test_convergence_csv_cumulates_each_trace_in_report_order(canonical):
+    out, report = canonical
+    # the oracle reads the traces back from disk, in report.json's order
+    expected = []
+    for doc in report["runs"]:
+        cumulative = 0.0
+        for record in read_trace(out / doc["trace"])[1]:
+            cumulative += record["wall_clock_s"]
+            expected.append((doc["name"], doc["seed"], record["episode"],
+                             record["mean_return"], record["recirc_rate"], cumulative))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([experiment.CONVERGENCE_COLUMNS, *expected])
+    assert (out / "convergence.csv").read_text(encoding="utf-8") == text.getvalue()
+
+    rows = read_convergence(out)
+    assert len(rows) == 5 * 2  # 5 jobs x 2 episodes
+    for doc in report["runs"]:
+        totals = [float(row[5]) for row in rows if row[:2] == [doc["name"], str(doc["seed"])]]
+        assert len(totals) == 2
+        assert totals == sorted(totals)
 
 
 def test_results_do_not_depend_on_run_order(canonical, tmp_path):
@@ -279,6 +183,11 @@ def test_cb_run_without_an_anchor_is_recorded_as_an_error(tmp_path):
     assert "mixed exploration requires q_params" in report["errors"][0]["error"]
     assert [(d["name"], d["seed"]) for d in report["runs"]] == [
         ("marl-center", 1), ("drmarl-cb", 1),
+    ]
+    # the failed job leaves no rows
+    assert [row[:3] for row in read_convergence(tmp_path)] == [
+        ["marl-center", "1", "1"], ["marl-center", "1", "2"],
+        ["drmarl-cb", "1", "1"], ["drmarl-cb", "1", "2"],
     ]
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import math
@@ -900,9 +901,11 @@ class TestTraceTdLoss:
         assert all(math.isfinite(row.td_loss) and row.td_loss >= 0.0 for row in trace[1:])
         path = tmp_path / "trace.csv"
         experiment.write_trace_csv(path, trace)
-        records = experiment.read_trace_csv(path)
-        assert math.isnan(records[0]["td_loss"])
-        assert [r["td_loss"] for r in records[1:]] == [row.td_loss for row in trace[1:]]
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        td_losses = [float(row[header.index("td_loss")]) for row in rows]
+        assert math.isnan(td_losses[0])
+        assert td_losses[1:] == [row.td_loss for row in trace[1:]]
 
 
 class TestTrainConfig:
