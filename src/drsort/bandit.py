@@ -5,10 +5,10 @@ induction group onto the joint (state, action) context. One network with
 m output heads serves all groups, so the worst-group query is a single
 forward pass followed by an argmin. Training follows an epsilon-greedy
 group-selection loop: actions come from a fixed exploration policy
-(explore_action), the executed group is uniform with probability epsilon
-and the current argmin otherwise, and only the executed group's head
-receives error signal. Like the Q-net's, the regression targets are joint
-rewards scaled by warehouse.reward_unit.
+(explore_action of kind CbConfig.explore), the executed group is uniform
+with probability epsilon and the current argmin otherwise, and only the
+executed group's head receives error signal. Like the Q-net's, the
+regression targets are joint rewards scaled by warehouse.reward_unit.
 
 The replay is three preallocated columns (contexts, executed groups,
 scaled rewards), and a ReplayRing, the Q-net's ring rules, picks the row
@@ -137,19 +137,19 @@ def cb_update(
 
 
 def explore_action(
-    kind: str,
+    cb_config: CbConfig,
     observations: np.ndarray,
     env_config: warehouse.EnvConfig,
     rng: np.random.Generator,
     q_params: MlpParams | None = None,
 ) -> np.ndarray:
-    """The exploration policy's joint action for one state's (N, OBS_DIM) observations.
+    """The joint action of exploration kind `cb_config.explore` for one state's observations.
 
     "random": the budgeted argmax of a random value table. "mixed": with
     probability 1/2 that, otherwise the budgeted greedy action of q_params,
-    the trained MARL policy.
+    the trained MARL policy. CbConfig admits no other kind.
     """
-    if kind == "mixed" and rng.random() >= 0.5:
+    if cb_config.explore == "mixed" and rng.random() >= 0.5:
         return greedy_actions(q_params, observations, env_config.action_max, env_config.n_chutes)
     table = rng.standard_normal((env_config.n_destinations, env_config.action_max + 1))
     return budget.solve_budget_argmax(table, env_config.n_chutes)
@@ -209,7 +209,7 @@ def train_cb(
         losses: list[float] = []
         for _t in range(env_config.episode_steps):
             obs = warehouse.observe_all(state, env_config)
-            action = explore_action(cb_config.explore, obs, env_config, explore_rng, q_params)
+            action = explore_action(cb_config, obs, env_config, explore_rng, q_params)
             slot = ring.next_slot()
             context = cb_context(obs, action, a_max, out=contexts[slot])
             eps = cb_config.epsilon(step_count, env_config.episode_steps)

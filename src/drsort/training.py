@@ -2,12 +2,12 @@
 
 The trainer runs episodes against the warehouse simulator: actions are
 epsilon-greedy over the budgeted argmax of the live value decomposition,
-each step's induction group is chosen by the configured worst-case
-strategy (contextual-bandit argmin, exhaustive probing, uniform random,
-or a fixed group), and minibatch TD updates regress the joint value onto
-reward-plus-discounted budgeted max of the target network. The reward
-stored for each step is the reward observed under the selected group,
-which is what makes the loss distributionally robust.
+each step's induction group is chosen by select_worst_group under the
+run's TrainConfig (contextual-bandit argmin, exhaustive probing, uniform
+random, or a fixed group), and minibatch TD updates regress the joint
+value onto reward-plus-discounted budgeted max of the target network. The
+reward stored for each step is the reward observed under the selected
+group, which is what makes the loss distributionally robust.
 
 The replay (QReplay) is preallocated columns over a ReplayRing. A step
 writes its float32 q_inputs rows, next observations, scaled reward and
@@ -138,7 +138,7 @@ def probe_group_reward(
 
 
 def select_worst_group(
-    mode: str,
+    train_config: TrainConfig,
     *,
     group_set: GroupSet,
     state: warehouse.WarehouseState,
@@ -147,24 +147,25 @@ def select_worst_group(
     env_config: warehouse.EnvConfig,
     rng: np.random.Generator,
     cb_params: MlpParams | None = None,
-    fixed_group: int | None = None,
-    n_probe: int = 8,
 ) -> int:
-    """Group index (0-based) chosen by the configured worst-case strategy."""
+    """Group index (0-based) chosen by the run's worst-case mode.
+
+    The mode, fixed group and probe count come from `train_config`, which
+    validated them. A cb run without the predictor `cb_params` is a ValueError.
+    """
+    mode = train_config.worst_case_mode
     if mode == "cb":
         if cb_params is None:
             raise ValueError("cb mode requires a trained predictor checkpoint")
         return cb_worst_group(cb_params, observations, action, env_config.action_max)
     if mode == "exhaustive":
-        estimates = probe_group_reward(state, action, group_set, env_config, rng, n_probe)
+        estimates = probe_group_reward(
+            state, action, group_set, env_config, rng, train_config.n_probe
+        )
         return int(np.argmin(estimates))
     if mode == "random":
         return int(rng.integers(group_set.size))
-    if mode == "fixed":
-        if fixed_group is None:
-            raise ValueError("fixed mode requires fixed_group")
-        return int(fixed_group)
-    raise ValueError(f"unknown worst_case_mode: {mode!r}")
+    return train_config.fixed_group
 
 
 class QReplay:
@@ -306,9 +307,8 @@ def train_drmarl(
     replay = QReplay(train_config.replay_capacity(env_config.episode_steps), n, a_max)
     # the worst-case strategy, bound once; each step supplies only what it sees
     adversary = functools.partial(
-        select_worst_group, mode, group_set=group_set, env_config=env_config,
+        select_worst_group, train_config, group_set=group_set, env_config=env_config,
         rng=probe_rng if mode == "exhaustive" else group_rng, cb_params=cb_params,
-        fixed_group=train_config.fixed_group, n_probe=train_config.n_probe,
     )
 
     result = TrainResult(params=params, group_counts=[0] * m)

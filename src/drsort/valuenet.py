@@ -60,7 +60,7 @@ class LearnerConfig:
                 f"buffer_capacity {self.buffer_capacity} is smaller than batch_size "
                 f"{self.batch_size}, so no update would ever run"
             )
-        if not all(isinstance(w, int) and w >= 1 for w in self.hidden):
+        if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden}")
 
     def epsilon(self, step: int, steps_per_episode: int) -> float:
@@ -231,35 +231,19 @@ class Optimizer:
     v: np.ndarray | None = None
 
     def apply(self, params: MlpParams, grad: np.ndarray) -> None:
-        """One Adam step on params.flat from `grad`, a vector in its layout.
-
-        `grad` (mlp_backward's `.flat`) is used as scratch: it holds no
-        gradient afterwards, and a view of it sees the overwrite.
-        """
+        """One Adam step on params.flat from `grad`, a vector in its layout that it only reads."""
         if self.m is None:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
         self.step_count += 1
-        t = self.step_count
-        bias1 = 1.0 - ADAM_BETA1**t
-        bias2 = 1.0 - ADAM_BETA2**t
+        bias1 = 1.0 - ADAM_BETA1**self.step_count
+        bias2 = 1.0 - ADAM_BETA2**self.step_count
         m, v = self.m, self.v
-        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
-        scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += scratch
-        np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
-        scratch *= grad
+        m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
-        v += scratch
-        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-        np.divide(m, bias1, out=scratch)
-        scratch *= self.learning_rate
-        np.divide(v, bias2, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += ADAM_EPS
-        scratch /= grad
-        params.flat -= scratch
+        v += ((1.0 - ADAM_BETA2) * grad) * grad
+        params.flat -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def target_sync(params: MlpParams) -> MlpParams:
@@ -296,9 +280,13 @@ def q_inputs(
     return rows
 
 
-# Row cap of one forward pass in action_value_table: a lockstep batch of
-# episodes needs tens of thousands of rows, and evaluating them at once
-# would multiply the hidden activations' memory.
+# Row cap of one forward pass in action_value_table. Evaluation forwards only
+# distinct rows, so the largest forwards are the TD bootstrap's: 64 x 20 x 2 =
+# 2,560 rows on appendix-B and 64 x 20 x 11 = 14,080 on the main formulation.
+# With one BLAS thread, the benchmark's setting, 2,048-row blocks beat a single
+# block on both (561 vs 582 us and 3,322 vs 3,660 us, medians of 15 rounds on a
+# 2-core Xeon with OpenBLAS, same output bits); with two threads the single
+# block was as fast or faster (473 vs 472 us and 2,693 vs 2,561 us).
 FORWARD_BLOCK_ROWS = 2048
 
 # Every forward block is padded to a whole multiple of this many rows and

@@ -76,9 +76,7 @@ def list_train_cb(env_config, group_set, cb_config, seed, q_params=None):
         losses = []
         for _t in range(env_config.episode_steps):
             obs = warehouse.observe_all(state, env_config)
-            action = bandit.explore_action(
-                cb_config.explore, obs, env_config, explore_rng, q_params
-            )
+            action = bandit.explore_action(cb_config, obs, env_config, explore_rng, q_params)
             eps = cb_config.epsilon(step_count, env_config.episode_steps)
             if group_rng.random() < eps:
                 group = int(group_rng.integers(m))
@@ -197,6 +195,16 @@ class TestCbUpdate:
         for head in (0, 2):
             assert not np.array_equal(params.weights[-1][:, head], before_w[:, head])
             assert params.biases[-1][head] != before_b[head]
+
+    def test_an_empty_batch_is_rejected(self):
+        env = warehouse.EnvConfig()
+        params = valuenet.init_mlp(bandit.default_cb_dims(env.n_destinations, 4, (16,)),
+                                   stream(34, "test/cb-update-empty"))
+        optimizer = valuenet.Optimizer(learning_rate=1e-2)
+        contexts = np.empty((0, bandit.cb_context_dim(env.n_destinations)))
+        with pytest.raises(ValueError, match="nonempty batch"):
+            bandit.cb_update(params, optimizer, contexts, np.empty(0, dtype=int), np.empty(0))
+        assert optimizer.step_count == 0
 
 
 class TestChooseGroup:

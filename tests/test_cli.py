@@ -39,6 +39,18 @@ def test_verify_passes(capsys):
     assert "all 7 property suites passed" in capsys.readouterr().out
 
 
+def test_a_failing_property_suite_exits_3(capsys, monkeypatch):
+    def one_fails(seed):
+        return [cli.verify.CheckResult("good", True, "ok"),
+                cli.verify.CheckResult("bad", False, "planted")]
+
+    monkeypatch.setattr(cli.verify, "run_all", one_fails)
+    assert cli.main(["verify"]) == cli.EXIT_RUNTIME
+    out = capsys.readouterr().out
+    assert "[FAIL] bad: planted" in out
+    assert "1 of 2 property suites failed" in out
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys)[0] == cli.EXIT_USAGE
     assert run(capsys, "train", "--mode", "fixed")[0] == cli.EXIT_USAGE  # no --seed
@@ -170,6 +182,14 @@ def test_a_checkpoint_that_is_not_a_json_object_exits_2_naming_the_file(
     code, err = run(capsys, "eval", "--checkpoint", path, "--seed", 1, "--out", tmp_path / "out")
     assert code == cli.EXIT_CONFIG
     assert f"config error: {path}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cb_training_without_a_predictor_checkpoint_exits_2(capsys, tmp_path):
+    code, err = run(capsys, "train", "--mode", "cb", "--episodes", 1, "--seed", 1,
+                    "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "--cb-checkpoint: cb mode requires a trained worst-case predictor" in err
     assert not (tmp_path / "out").exists()
 
 

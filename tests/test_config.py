@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drsort import config, experiment, induction, valuenet, warehouse
+from drsort import bandit, config, experiment, induction, training, valuenet, warehouse
 from drsort.seeding import stream
 
 
@@ -70,6 +70,16 @@ LEARNER_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: training.TrainConfig(hidden=(True, 4)),
+    lambda: bandit.CbConfig(hidden=(64, True)),
+], ids=["train", "cb"])
+def test_a_bool_hidden_width_is_rejected_at_construction(build):
+    # a file meets the reader's bool check first; code that builds a config meets this one
+    with pytest.raises(ValueError, match="hidden widths must be integers >= 1"):
+        build()
+
+
 @pytest.mark.parametrize(
     "doc, path, message",
     [
@@ -121,6 +131,12 @@ LEARNER_ERRORS = [
          "$.runs[0].name", "may hold no '/' or NUL"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1, 2**64 + 1]}),
          "$.runs[1].seeds", "list of distinct integers, taken modulo 2**64"),
+        (with_run({"name": "marl-center", "mode": "random", "episodes": 1, "seeds": [1]}),
+         "$.runs", "run names must be unique"),
+        (minimal_doc(preset="appendix-c"), "$.preset", "unknown preset 'appendix-c'"),
+        (minimal_doc(train={"gamma": 0.0}), "$.train", "gamma must lie in (0, 1)"),
+        (minimal_doc(train={"gamma": 1.0}), "$.train", "gamma must lie in (0, 1)"),
+        pytest.param('{"master_seed": 1,', "$", "invalid JSON", id="not-json"),
         # JSON text, since no dict holds a key twice
         pytest.param(json.dumps(minimal_doc(env={"n_chutes": 4}))[:-1] + ', "env": {}}',
                      "$", "key 'env' appears twice in one object", id="repeated-top-level-key"),
@@ -163,6 +179,8 @@ def with_group(drop=(), **entry):
          "$.runs[1].episodes", "expected int, got float"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": [1.5]}),
          "$.runs[1].seeds", "expected int, got float"),
+        (with_run({"name": "x", "mode": "random", "episodes": 1, "seeds": 1}),
+         "$.runs[1].seeds", "expected list, got int"),
         (minimal_doc(evaluation={"trials": 2.5, "seed": 3}), "$.evaluation.trials",
          "expected int, got float"),
         (minimal_doc(master_seed=1.0), "$.master_seed", "expected int, got float"),
@@ -184,8 +202,9 @@ def with_group(drop=(), **entry):
         (minimal_doc(cb={"learning_rate": 10**400}), "$.cb.learning_rate", "must be finite"),
     ],
     ids=["env-action-max", "train-target-sync", "train-n-probe", "train-episodes",
-         "train-hidden", "cb-buffer-capacity", "run-episodes", "run-seeds", "eval-trials",
-         "master-seed", "str-for-float", "str-for-int", "group-volume", "group-n", "group-mu",
+         "train-hidden", "cb-buffer-capacity", "run-episodes", "run-seeds", "run-seeds-scalar",
+         "eval-trials", "master-seed", "str-for-float", "str-for-int", "group-volume", "group-n",
+         "group-mu",
          "group-sigma-bool", "group-unknown-key", "group-missing-key", "group-mu-nan",
          "group-sigma-range",
          "env-nan", "train-infinity", "int-beyond-float-range"],

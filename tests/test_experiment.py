@@ -178,7 +178,8 @@ def test_results_do_not_depend_on_run_order(canonical, tmp_path):
 
 def test_cb_run_without_an_anchor_is_recorded_as_an_error(tmp_path):
     runs = [dict(CENTER, seeds=[1]), dict(CB, seeds=[1, 3])]
-    report = experiment.run_experiment(tiny_config(runs), tmp_path)
+    cfg = tiny_config(runs)
+    report = experiment.run_experiment(cfg, tmp_path)
     assert [(e["name"], e["seed"]) for e in report["errors"]] == [("drmarl-cb", 3)]
     assert "mixed exploration requires q_params" in report["errors"][0]["error"]
     assert [(d["name"], d["seed"]) for d in report["runs"]] == [
@@ -189,6 +190,8 @@ def test_cb_run_without_an_anchor_is_recorded_as_an_error(tmp_path):
         ["marl-center", "1", "1"], ["marl-center", "1", "2"],
         ["drmarl-cb", "1", "1"], ["drmarl-cb", "1", "2"],
     ]
+    # a run none of whose jobs succeeded has no metrics row
+    assert [row[0] for row in experiment.metric_rows(cfg, report["runs"][:1])] == ["marl-center"]
 
 
 def test_each_seeds_predictor_trains_once_on_its_first_fixed_run(monkeypatch, tmp_path):

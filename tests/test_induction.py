@@ -163,3 +163,34 @@ class TestGroupSet:
         b = induction.MultinomialSpec(probs_vector=(1.0,), volume=6)
         with pytest.raises(ValueError, match="same volume"):
             custom_set(a, b)
+
+    def test_mixed_destination_counts_rejected(self):
+        a = induction.MultinomialSpec(probs_vector=(1.0,), volume=5)
+        b = induction.MultinomialSpec(probs_vector=(0.5, 0.5), volume=5)
+        with pytest.raises(ValueError, match="same number of destinations"):
+            custom_set(a, b)
+
+    def test_an_empty_group_set_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one group"):
+            custom_set()
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("probs, message", [
+        (((0.5, 0.5),), "nonempty 1-D array"),
+        ((), "nonempty 1-D array"),
+        ((1.5, -0.5), "negative entries"),
+        ((0.5, 0.4), "does not sum to 1"),
+    ], ids=["2-d", "empty", "negative", "not-normalised"])
+    def test_a_probability_vector_off_the_simplex_is_rejected(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            induction.MultinomialSpec(probs_vector=probs, volume=5)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: induction.TruncatedNormalSpec(0.0, 2.0, 0, 1200), "n_destinations must be"),
+        (lambda: induction.TruncatedNormalSpec(0.0, 2.0, 20, -1), "volume must be nonnegative"),
+        (lambda: induction.MultinomialSpec((1.0,), -1), "volume must be nonnegative"),
+    ], ids=["normal-n", "normal-volume", "multinomial-volume"])
+    def test_a_count_out_of_range_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -574,10 +574,9 @@ def list_train_drmarl(train_config, env_config, group_set, seed, cb_params=None)
             else:
                 action = valuenet.greedy_actions(params, obs, a_max, env_config.n_chutes)
             group = training.select_worst_group(
-                mode, group_set=group_set, state=state, observations=obs, action=action,
+                train_config, group_set=group_set, state=state, observations=obs, action=action,
                 env_config=env_config, rng=probe_rng if mode == "exhaustive" else group_rng,
-                cb_params=cb_params, fixed_group=train_config.fixed_group,
-                n_probe=train_config.n_probe,
+                cb_params=cb_params,
             )
             out["group_counts"][group] += 1
             induction = group_set.sample(group, induction_rng)
@@ -816,20 +815,20 @@ class TestExhaustiveProbing:
     @pytest.mark.parametrize("setup", ["appendix-b", "main-formulation"])
     def test_exhaustive_selection_matches_the_scalar_argmin(self, setup):
         env, group_set, n_probe = probe_setups()[setup]
+        train_config = training.TrainConfig(worst_case_mode="exhaustive", n_probe=n_probe)
         cases = stream(42, f"test/probe-cases/{setup}")
         probe_rng = stream(42, "test/probe")
         scalar_rng = stream(42, "test/probe")
         chosen = set()
         for state, action in probe_cases(env, cases, 100):
             group = training.select_worst_group(
-                "exhaustive",
+                train_config,
                 group_set=group_set,
                 state=state,
                 observations=warehouse.observe_all(state, env),
                 action=action,
                 env_config=env,
                 rng=probe_rng,
-                n_probe=n_probe,
             )
             expected = scalar_probe_estimates(state, action, group_set, env, scalar_rng, n_probe)
             assert group == int(np.argmin(expected))
@@ -863,32 +862,25 @@ class TestExhaustiveProbing:
 
 
 class TestSelectWorstGroup:
-    def select(self, mode, **kwargs):
+    def select(self, train_config):
         env, group_set, _, _ = config.appendix_b_defaults()
         state = warehouse.reset(env)
         return training.select_worst_group(
-            mode,
+            train_config,
             group_set=group_set,
             state=state,
             observations=warehouse.observe_all(state, env),
             action=np.zeros(env.n_destinations, dtype=int),
             env_config=env,
             rng=stream(1, "test/select"),
-            **kwargs,
         )
 
     def test_cb_requires_a_predictor(self):
         with pytest.raises(ValueError, match="predictor"):
-            self.select("cb")
+            self.select(training.TrainConfig(worst_case_mode="cb"))
 
-    def test_fixed_requires_a_group(self):
-        with pytest.raises(ValueError, match="fixed_group"):
-            self.select("fixed")
-        assert self.select("fixed", fixed_group=3) == 3
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown worst_case_mode"):
-            self.select("minimax")
+    def test_fixed_returns_its_group(self):
+        assert self.select(training.TrainConfig(worst_case_mode="fixed", fixed_group=3)) == 3
 
 
 class TestTraceTdLoss:
@@ -909,6 +901,14 @@ class TestTraceTdLoss:
 
 
 class TestTrainConfig:
+    def test_fixed_requires_a_group(self):
+        with pytest.raises(ValueError, match="fixed_group"):
+            training.TrainConfig(worst_case_mode="fixed")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown worst_case_mode"):
+            training.TrainConfig(worst_case_mode="minimax")
+
     @pytest.mark.parametrize("n_probe", [0, -1])
     def test_rejects_fewer_than_one_probe(self, n_probe):
         with pytest.raises(ValueError, match="n_probe must be >= 1"):

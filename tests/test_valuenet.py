@@ -262,7 +262,6 @@ class TestFlatAdam:
             out, cache = valuenet.mlp_forward_cached(params, x)
             grad_out = rng.normal(size=out.shape).astype(dtype) / rows
             grads = valuenet.mlp_backward(params, cache, grad_out)
-            # the oracle reads the gradient first: apply uses it as scratch
             oracle.apply(reference, grads.weights, grads.biases)
             flat_adam.apply(params, grads.flat)
         assert valuenet.params_digest(params) == valuenet.params_digest(reference)
@@ -271,6 +270,19 @@ class TestFlatAdam:
         for name in ("m", "v"):
             assert np.array_equal(getattr(flat_adam, name).view(bits), oracle.flat(name).view(bits))
         assert not np.array_equal(params.flat, initial)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_leaves_the_gradient_bit_unchanged(self, dtype):
+        rng = stream(27, "test/adam-grad")
+        params = valuenet.init_mlp([5, 16, 3], rng, dtype=dtype)
+        optimizer = valuenet.Optimizer(learning_rate=1e-2)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        for _ in range(3):
+            out, cache = valuenet.mlp_forward_cached(params, rng.normal(size=(8, 5)))
+            grad = valuenet.mlp_backward(params, cache, rng.normal(size=out.shape)).flat
+            before = grad.copy()
+            optimizer.apply(params, grad)
+            assert np.array_equal(grad.view(bits), before.view(bits))
 
 
 class TestFlatStorage:

@@ -161,6 +161,21 @@ class TestStep:
         assert warehouse.reward_unit(config) == 1.0 / max(volume, 1)
 
 
+class TestEnvConfig:
+    @pytest.mark.parametrize("field, least, message", [
+        ("n_destinations", 1, "n_destinations and n_chutes must be positive"),
+        ("n_chutes", 1, "n_destinations and n_chutes must be positive"),
+        ("episode_steps", 1, "episode_steps must be >= 1"),
+        ("step_volume", 0, "invalid step_volume / action_max / action_penalty"),
+        ("action_max", 1, "invalid step_volume / action_max / action_penalty"),
+        ("action_penalty", 0.0, "invalid step_volume / action_max / action_penalty"),
+    ])
+    def test_rejects_a_value_below_its_least(self, field, least, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: least - 1})
+        assert getattr(small_config(**{field: least}), field) == least
+
+
 class TestObserve:
     def test_fresh_reset_has_full_availability(self):
         config = warehouse.EnvConfig()
