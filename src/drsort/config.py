@@ -1,17 +1,19 @@
-"""Experiment configuration: JSON schema, validation, presets.
+"""Experiment configuration and checkpoints: JSON schema, validation, presets.
 
 A config file declares the environment, the group set, both learners'
 hyperparameters, the policy runs and the evaluation protocol; every seed
-is explicit. Errors name the offending path (e.g. "$.runs[2].mode").
+is explicit. Errors name the offending path (e.g. "$.runs[2].mode"), and a
+checkpoint's errors name its file too (e.g. "policy.json: $.weights").
 
-Each rule has one owner. The reader (`_read`) owns types: each field's
-type is its dataclass annotation, and unknown or missing keys are errors.
-The dataclasses own ranges: EnvConfig, valuenet.LearnerConfig (the fields
-both trainers share), TrainConfig, CbConfig and the group specs check
-their values, and RunSpec checks a run's name, mode, group, episodes and
-seeds. parse_config owns the cross-field rules: an env whose N and V equal
-the group set's, unique run names, and evaluation trials >= 1.
-`valuenet.unique_keys` owns the repeated-key rule, for configs and checkpoints alike.
+Each rule has one owner. The reader (`_read`) owns types, for configs and
+checkpoints alike: each field's type is its dataclass annotation, and
+unknown or missing keys are errors. The dataclasses own ranges: EnvConfig,
+valuenet.LearnerConfig (the fields both trainers share), TrainConfig,
+CbConfig, the group specs, RunSpec (a run's name, mode, group, episodes
+and seeds) and valuenet.CheckpointDoc (a checkpoint's version and dtype).
+GroupSet.check_fits owns the env's fit to the group set, parse_config the
+unique run names and evaluation trials >= 1, and `_json_object` the
+repeated-key rule, for every file drsort reads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import MISSING, dataclass, field
 from .bandit import CbConfig
 from .induction import GroupSet, MultinomialSpec, TruncatedNormalSpec, build_group_set
 from .training import WORST_CASE_MODES, TrainConfig
-from .valuenet import RepeatedKeyError, unique_keys
+from .valuenet import CheckpointDoc, pack_mlp
 from .warehouse import EnvConfig
 
 
@@ -205,14 +207,37 @@ PRESETS = {"appendix-b": appendix_b_defaults}
 CENTER_GROUP = 5  # 1-based index of the mu=0 group in the appendix-b preset
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _json_object(text: str, at: str) -> dict:
+    """The JSON object `text` holds, or a ConfigError at `at`, as also for a
+    key twice in one object (JSON alone would keep its last value)."""
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(at, f"key {key!r} appears twice in one object")
+            doc[key] = value
+        return doc
+
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
-    except RepeatedKeyError as exc:
-        raise ConfigError("$", str(exc)) from None
     except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    top = _read(_Document, _typed(doc, dict, "$"), "$")
+        raise ConfigError(at, f"invalid JSON: {exc}") from exc
+    return _typed(doc, dict, at)
+
+
+def _file_text(path) -> str:
+    """The text of the UTF-8 file at `path`, or a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"is not UTF-8 text: {exc}") from exc
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    top = _read(_Document, _json_object(text, "$"), "$")
 
     if top.preset not in PRESETS:
         raise ConfigError("$.preset", f"unknown preset {top.preset!r}")
@@ -223,10 +248,10 @@ def parse_config(text: str) -> ExperimentConfig:
     cb = _read(CbConfig, top.cb, "$.cb", cb)
     if top.groups is not None:
         group_set = group_set_from_doc(top.groups)
-    if (env.n_destinations, env.step_volume) != (group_set.n_destinations, group_set.volume):
-        raise ConfigError("$.env", f"n_destinations {env.n_destinations} and step_volume "
-                          f"{env.step_volume} must equal the groups' N "
-                          f"{group_set.n_destinations} and volume {group_set.volume}")
+    try:
+        group_set.check_fits(env)
+    except ValueError as exc:
+        raise ConfigError("$.env", str(exc)) from exc
 
     evaluation = _read(_Evaluation, top.evaluation, "$.evaluation")
     if evaluation.trials < 1:
@@ -276,13 +301,22 @@ def config_to_doc(config: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    """parse_config of the file at `path`; a file that cannot be read as UTF-8
-    text is a ConfigError naming it."""
+    """parse_config of the UTF-8 file at `path`."""
+    return parse_config(_file_text(path))
+
+
+def load_checkpoint(path) -> dict:
+    """The valuenet.CheckpointDoc at `path` as {kind, params, config_hash, meta};
+    keys it does not name are ignored, and a defect is a ConfigError naming
+    the file and the field."""
+    at = f"{path}: $"
+    doc = _json_object(_file_text(path), at)
+    names = {f.name for f in dataclasses.fields(CheckpointDoc)}
+    checkpoint = _read(CheckpointDoc, {k: v for k, v in doc.items() if k in names}, at)
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot be read: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(str(path), f"is not UTF-8 text: {exc}") from exc
-    return parse_config(text)
+        params = pack_mlp(checkpoint.layer_dims, checkpoint.weights, checkpoint.biases,
+                          checkpoint.dtype)
+    except ValueError as exc:
+        raise ConfigError(at, str(exc)) from exc
+    return {"kind": checkpoint.kind, "params": params,
+            "config_hash": checkpoint.config_hash, "meta": checkpoint.meta}

@@ -9,7 +9,8 @@ shares:
   trace_<run>-s<seed>.csv  write_trace_csv: one training.TraceRow per episode
   cb_s<seed>.csv         train_predictor: predictor training-loss curves
   checkpoints/*.json     save_policy (policies), train_predictor (predictors);
-                         load_policy and load_predictor read them back
+                         load_policy and load_predictor read them back through
+                         config.load_checkpoint and check their kind and widths
   report.json            run_experiment: per-run, per-group detail, errors
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bandit, training, valuenet, warehouse
-from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc
+from .config import ConfigError, ExperimentConfig, RunSpec, config_to_doc, load_checkpoint
 from .induction import GroupSet
 
 TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(training.TraceRow))
@@ -91,10 +92,7 @@ def train_predictor(
 
 def _load_params(path: Path, kind: str, widths: tuple[int, int]) -> valuenet.MlpParams:
     """A checkpoint's net, checked to be complete and of `kind` with (input, output) `widths`."""
-    try:
-        checkpoint = valuenet.load_checkpoint(path)
-    except valuenet.CheckpointError as exc:
-        raise ConfigError(str(path), str(exc)) from exc
+    checkpoint = load_checkpoint(path)
     if checkpoint["kind"] != kind:
         raise ConfigError(str(path), f"expected a {kind!r} checkpoint, got {checkpoint['kind']!r}")
     dims = checkpoint["params"].layer_dims

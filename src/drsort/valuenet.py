@@ -13,6 +13,10 @@ the gradient into a vector of the same layout, so the Adam step runs once
 over the whole vector rather than once per array. Adam is purely
 element-wise, so one pass over the concatenation is bit-equal to a pass
 per array.
+
+A checkpoint is one JSON object whose keys are CheckpointDoc's fields;
+save_checkpoint writes it, CheckpointDoc owns its version and dtype rules,
+and config.load_checkpoint reads it with the reader config files use.
 """
 
 from __future__ import annotations
@@ -451,24 +455,6 @@ class ReplayBuffer:
 CHECKPOINT_VERSION = 1
 
 
-class RepeatedKeyError(ValueError):
-    """A key appears twice in one JSON object."""
-
-
-def unique_keys(pairs: list) -> dict:
-    """json's object_pairs_hook for every file drsort reads: the object's dict.
-
-    JSON alone would keep the last value of a repeated key; here a key that
-    appears twice in one object is a RepeatedKeyError.
-    """
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise RepeatedKeyError(f"key {key!r} appears twice in one object")
-        doc[key] = value
-    return doc
-
-
 def config_hash(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
@@ -499,47 +485,26 @@ def save_checkpoint(
         fh.write(json.dumps(doc))
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file is unreadable or not a JSON object, or a field is missing or malformed."""
+@dataclass(frozen=True)
+class CheckpointDoc:
+    """The JSON object save_checkpoint writes, one field per key; config.load_checkpoint
+    reads it, and ignores the keys it does not name."""
 
+    format_version: int
+    kind: str
+    layer_dims: tuple[int, ...]
+    weights: tuple[tuple[float, ...], ...]  # each layer's matrix raveled row-major
+    biases: tuple[tuple[float, ...], ...]
+    dtype: str = "float64"
+    config_hash: str = ""
+    meta: dict = field(default_factory=dict)
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint into {kind, params, config_hash, meta}; other keys are ignored.
-
-    A file that cannot be read, is not UTF-8 JSON or not a JSON object, a
-    key repeated in one object, a missing field, a dtype other than the two
-    that save_checkpoint writes, or weights and biases that do not match
-    layer_dims raise CheckpointError naming the defect.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
-    except OSError as exc:
-        raise CheckpointError(f"cannot be read: {exc.strerror}") from None
-    except RepeatedKeyError as exc:
-        raise CheckpointError(str(exc)) from None
-    except ValueError as exc:
-        raise CheckpointError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CheckpointError("the top level is not a JSON object")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError("unsupported checkpoint format version")
-    dtype = doc.get("dtype", "float64")
-    if dtype not in ("float32", "float64"):
-        raise CheckpointError(f"dtype {dtype!r} is not 'float32' or 'float64'")
-    try:
-        kind = doc["kind"]
-        params = pack_mlp(doc["layer_dims"], doc["weights"], doc["biases"], np.dtype(dtype))
-    except KeyError as exc:
-        raise CheckpointError(f"missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(str(exc)) from exc
-    return {
-        "kind": kind,
-        "params": params,
-        "config_hash": doc.get("config_hash", ""),
-        "meta": doc.get("meta", {}),
-    }
+    def __post_init__(self):
+        if self.format_version != CHECKPOINT_VERSION:
+            raise ValueError(f"format_version {self.format_version} is not the supported "
+                             f"version {CHECKPOINT_VERSION}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype {self.dtype!r} is not 'float32' or 'float64'")
 
 
 def params_digest(params: MlpParams) -> str:

@@ -144,14 +144,22 @@ def test_a_checkpoint_of_the_wrong_kind_or_widths_exits_2(
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
+        (lambda doc: doc.pop("layer_dims"), "$.layer_dims: missing required field"),
         (lambda doc: doc["weights"].pop(), "weights holds 2 layers, where layer_dims"),
         (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
         (lambda doc: doc.update(layer_dims=[7.9, 64, 64, 1.5]),
-         "layer_dims [7.9, 64, 64, 1.5] holds a width that is not an integer >= 1"),
+         "$.layer_dims: expected int, got float"),
         (lambda doc: doc["layer_dims"].__setitem__(1, 0), "layer_dims [7, 0, 64, 1] holds"),
+        (lambda doc: doc["weights"][0].__setitem__(3, "1.5"), "$.weights: expected float, got str"),
+        (lambda doc: doc["weights"][2].__setitem__(0, True), "$.weights: expected float, got bool"),
+        (lambda doc: doc["weights"][1].__setitem__(5, float("nan")),
+         "$.weights: must be finite, got nan"),
+        (lambda doc: doc["biases"][0].__setitem__(0, float("inf")),
+         "$.biases: must be finite, got inf"),
+        (lambda doc: doc.update(meta=[1]), "$.meta: expected dict, got list"),
     ],
-    ids=["missing-key", "short-weight-list", "int8-dtype", "fractional-widths", "zero-width"],
+    ids=["missing-key", "short-weight-list", "int8-dtype", "fractional-widths", "zero-width",
+         "string-weight", "bool-weight", "nan-weight", "infinite-bias", "meta-list"],
 )
 def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path, edit, message):
     path = write_policy(tmp_path / "policy.json")
@@ -167,10 +175,10 @@ def test_a_broken_checkpoint_exits_2_naming_the_file_and_field(capsys, tmp_path,
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"format_version": 1,', "not valid JSON: "),
-        ("[1]", "the top level is not a JSON object"),
+        ('{"format_version": 1,', "$: invalid JSON: "),
+        ("[1]", "$: expected dict, got list"),
         ('{"format_version": 1, "format_version": 1}',
-         "key 'format_version' appears twice in one object"),
+         "$: key 'format_version' appears twice in one object"),
     ],
     ids=["truncated-json", "top-level-list", "repeated-key"],
 )
@@ -212,12 +220,34 @@ def test_train_traces_of_two_modes_with_one_seed_keep_apart(capsys, tmp_path):
         assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == 10
 
 
-def test_eval_of_a_checkpoint_with_another_format_version_exits_3(capsys, tmp_path):
-    checkpoint = tmp_path / "policy.json"
-    checkpoint.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
-    code, err = run(capsys, "eval", "--checkpoint", checkpoint, "--seed", 1, "--out", tmp_path)
-    assert code == cli.EXIT_RUNTIME
-    assert "format version" in err
+@pytest.mark.parametrize(
+    "version, message",
+    [(99, "$: format_version 99 is not the supported version 1"),
+     (None, "$.format_version: missing required field")],
+    ids=["version-99", "no-version"],
+)
+@pytest.mark.parametrize(
+    "command, checkpoint",
+    [
+        (["train", "--mode", "cb", "--episodes", 1, "--cb-checkpoint"], "predictor"),
+        (["cb-train", "--episodes", 1, "--policy-checkpoint"], "policy"),
+        (["eval", "--checkpoint"], "policy"),
+    ],
+    ids=["train-cb", "cb-train", "eval"],
+)
+def test_a_checkpoint_of_another_or_no_format_version_exits_2_naming_the_file(
+    capsys, tmp_path, command, checkpoint, version, message
+):
+    path = CHECKPOINTS[checkpoint](tmp_path / "checkpoint.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["format_version"] = version
+    if version is None:
+        del doc["format_version"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = run(capsys, *command, path, "--seed", 1, "--out", tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {path}: {message}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_missing_file_during_a_run_exits_3(capsys, monkeypatch):
@@ -363,8 +393,11 @@ def test_an_experiment_run_name_with_a_slash_exits_2_before_training(capsys, tmp
          "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
         (["train", "--mode", "random", "--seed", 1, "--config"],
          lambda path: path.write_bytes(b"\xfe\xff"), "is not UTF-8 text"),
+        (["eval", "--seed", 1, "--checkpoint"], lambda path: path.write_bytes(b'{"kind": "\xff"}'),
+         "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["config-directory", "checkpoint-directory", "latin-1-config", "utf-16-config"],
+    ids=["config-directory", "checkpoint-directory", "latin-1-config", "utf-16-config",
+         "latin-1-checkpoint"],
 )
 def test_an_unreadable_input_file_exits_2_naming_it(capsys, tmp_path, command, make, message):
     path = tmp_path / "input.json"

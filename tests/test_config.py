@@ -98,7 +98,7 @@ def test_a_bool_hidden_width_is_rejected_at_construction(build):
          "$.evaluation.trails", "unknown field"),
         (with_run({"name": "x", "mode": "random", "episodes": 1, "seed": [1]}),
          "$.runs[1].seed", "unknown field"),
-        (minimal_doc(env={"n_destinations": 12}), "$.env", "groups' N 20"),
+        (minimal_doc(env={"n_destinations": 12}), "$.env", "env has N=12 and volume 1200"),
         (minimal_doc(env={"step_volume": 600}), "$.env", "volume 1200"),
         (minimal_doc(env={"recirc_carryover": False}), "$.env.recirc_carryover", "unknown field"),
         (minimal_doc(train={"reward_scale": 1.0}), "$.train.reward_scale", "unknown field"),
@@ -246,7 +246,7 @@ def test_an_int_literal_in_a_float_field_is_stored_as_a_float(tmp_path):
         docs.append(json.dumps(config.config_to_doc(cfg)))
         path = tmp_path / f"policy-{literal!r}.json"
         experiment.save_policy(path, params, cfg.runs[0].train_config(cfg.train), meta={})
-        hashes.append(valuenet.load_checkpoint(path)["config_hash"])
+        hashes.append(config.load_checkpoint(path)["config_hash"])
     assert docs[0] == docs[1]
     assert hashes[0] == hashes[1]
 

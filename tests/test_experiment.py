@@ -112,6 +112,27 @@ def test_rerun_writes_byte_identical_metrics(canonical, tmp_path):
     assert (tmp_path / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
 
+def test_every_checkpoint_a_run_writes_reads_back_bit_exact(tmp_path, monkeypatch):
+    saved = {}
+    save = valuenet.save_checkpoint
+
+    def recording_save(path, params, **kwargs):
+        saved[path.name] = (kwargs["kind"], valuenet.params_digest(params))
+        save(path, params, **kwargs)
+
+    monkeypatch.setattr(valuenet, "save_checkpoint", recording_save)
+    cfg = tiny_config([CENTER, CB])
+    experiment.run_experiment(cfg, tmp_path)
+    load = {"vdn": lambda path: experiment.load_policy(path, cfg.env),
+            "cb": lambda path: experiment.load_predictor(path, cfg.env, cfg.group_set)}
+    written = sorted((tmp_path / "checkpoints").iterdir())
+    assert [path.name for path in written] == sorted(saved)
+    assert sorted(kind for kind, _ in saved.values()) == ["cb"] * 2 + ["vdn"] * 4
+    for path in written:
+        kind, digest = saved[path.name]
+        assert valuenet.params_digest(load[kind](path)) == digest
+
+
 def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(
     canonical, tmp_path
 ):
@@ -122,8 +143,8 @@ def test_cli_cb_train_on_the_anchor_checkpoint_matches_the_runners_predictor(
                      "--policy-checkpoint", str(out / "checkpoints" / "marl-center-s1.json"),
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_OK
-    ours = valuenet.load_checkpoint(tmp_path / "cb-s1.json")
-    runners = valuenet.load_checkpoint(out / "checkpoints" / "cb-s1.json")
+    ours = config.load_checkpoint(tmp_path / "cb-s1.json")
+    runners = config.load_checkpoint(out / "checkpoints" / "cb-s1.json")
     assert valuenet.params_digest(ours["params"]) == valuenet.params_digest(runners["params"])
     assert ours["config_hash"] == runners["config_hash"]
     assert ours["meta"].keys() == runners["meta"].keys() == {"seed", "wall_clock_s"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drsort import budget, training, valuenet
+from drsort import budget, config, training, valuenet
 from drsort.seeding import stream
 from drsort.verify import max_relative_gradient_error
 
@@ -297,7 +297,7 @@ class TestFlatStorage:
         self.assert_views_of_flat(params)
         path = tmp_path / "ckpt.json"
         valuenet.save_checkpoint(path, params, kind="cb")
-        self.assert_views_of_flat(valuenet.load_checkpoint(path)["params"])
+        self.assert_views_of_flat(config.load_checkpoint(path)["params"])
         self.assert_views_of_flat(valuenet.target_sync(params))
 
     def test_layout_is_w0_b0_w1_b1_row_major(self):
@@ -740,7 +740,7 @@ class TestCheckpoint:
         opt.apply(params, valuenet.mlp_backward(params, cache, np.ones_like(out)).flat)
         path = tmp_path / "ckpt.json"
         valuenet.save_checkpoint(path, params, kind="vdn", config_digest="abc123")
-        loaded = valuenet.load_checkpoint(path)
+        loaded = config.load_checkpoint(path)
         again = loaded["params"]
         assert again.layer_dims == params.layer_dims
         assert again.dtype == np.float32
@@ -781,16 +781,16 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc.update(optimizer=None, rng_state=None)
         path.write_text(json.dumps(doc))
-        loaded = valuenet.load_checkpoint(path)
+        loaded = config.load_checkpoint(path)
         assert valuenet.params_digest(loaded["params"]) == valuenet.params_digest(params)
         assert (loaded["kind"], loaded["meta"]) == ("cb", {"seed": 4})
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.pop("layer_dims"), "missing field 'layer_dims'"),
-            (lambda doc: doc.pop("kind"), "missing field 'kind'"),
-            (lambda doc: doc.pop("biases"), "missing field 'biases'"),
+            (lambda doc: doc.pop("layer_dims"), "$.layer_dims: missing required field"),
+            (lambda doc: doc.pop("kind"), "$.kind: missing required field"),
+            (lambda doc: doc.pop("biases"), "$.biases: missing required field"),
             (lambda doc: doc["weights"].pop(), "weights holds 1 layers"),
             (lambda doc: doc["weights"][1].pop(), "weights[1] has shape (7,), expected (8, 1)"),
             (lambda doc: doc["biases"][0].append(0.0), "biases[0] has shape (9,), expected (8,)"),
@@ -798,9 +798,9 @@ class TestCheckpoint:
             (lambda doc: doc.update(dtype="no-such-type"), "no-such-type"),
             (lambda doc: doc.update(dtype="int8"), "dtype 'int8' is not 'float32' or 'float64'"),
             (lambda doc: doc.update(layer_dims=[4.9, 8, 1.5]),
-             "layer_dims [4.9, 8, 1.5] holds a width that is not an integer >= 1"),
-            (lambda doc: doc.update(layer_dims=[4, 8.0, 1]), "layer_dims [4, 8.0, 1] holds"),
-            (lambda doc: doc.update(layer_dims=[4, 8, True]), "layer_dims [4, 8, True] holds"),
+             "$.layer_dims: expected int, got float"),
+            (lambda doc: doc.update(layer_dims=[4, 8.0, 1]), "$.layer_dims: expected int, got float"),
+            (lambda doc: doc.update(layer_dims=[4, 8, True]), "$.layer_dims: expected int, got bool"),
             (lambda doc: doc.update(layer_dims=[4, 0, 1]), "layer_dims [4, 0, 1] holds"),
         ],
         ids=["no-layer-dims", "no-kind", "no-biases", "short-weights", "short-matrix",
@@ -815,14 +815,15 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(valuenet.CheckpointError) as info:
-            valuenet.load_checkpoint(path)
-        assert message in str(info.value)
+        with pytest.raises(config.ConfigError) as info:
+            config.load_checkpoint(path)
+        assert f"{path}: " in str(info.value) and message in str(info.value)
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
 
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(ValueError, match="format version"):
-            valuenet.load_checkpoint(path)
+        valuenet.save_checkpoint(path, valuenet.init_mlp([3, 2], stream(21, "ckpt")), kind="cb")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 99}))
+        with pytest.raises(config.ConfigError, match="format_version 99 is not the supported"):
+            config.load_checkpoint(path)
